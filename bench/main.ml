@@ -12,12 +12,8 @@
       evaluation, hot-log insertion/SCL tracking, histogram recording, and
       the simulator core.  Run with `dune exec bench/main.exe -- micro`.
 
-   3. The performance report — `main.exe report --out BENCH_NNN.json` runs
-      the micro suite plus an end-to-end reference scenario (open-loop
-      transaction mix on the default cluster) and writes the machine-readable
-      `BENCH_*.json` record (see Perf.Bench_report): ns/op per micro-bench,
-      simulated commits/sec, wall-clock events/sec, and GC deltas per commit.
-      `scripts/bench.sh` drives this; `aurora_cli perf` reads the trajectory.
+   End-to-end throughput, latency and per-layer cost are measured by the
+   repo benchmark in perfbench/ (see perfbench/README.md).
 
    The default (`dune exec bench/main.exe`) runs experiments + micro.
 
@@ -141,7 +137,7 @@ let bench_zipf () =
   Bechamel.Staged.stage (fun () -> ignore (Workload.Zipf.sample z rng : int))
 
 (* Run the suite and return OLS ns/op estimates, one row per benchmark, in
-   declaration order.  Printing and the JSON report both consume this. *)
+   declaration order. *)
 let micro_estimates () =
   let open Bechamel in
   let open Toolkit in
@@ -194,167 +190,9 @@ let run_micro () =
       | None -> Printf.printf "%-40s (no estimate)\n%!" name)
     (micro_estimates ())
 
-(* ---- the BENCH_*.json performance report ---- *)
-
-(* End-to-end reference scenario: the same open-loop transaction mix the
-   CLI's smoke command drives, with perf probes enabled and GC accounting
-   around the whole run.  The probes live outside sim state, so the run's
-   simulated behaviour is byte-identical with or without them. *)
-let run_reference_scenario ~seed ~txns ~pgs ~rate () =
-  Perf.Probe.reset ();
-  Perf.Probe.enable ();
-  Gc.compact ();
-  let g0 = Gc.quick_stat () in
-  let t0 = Perf.Clock.now_ns () in
-  let cluster =
-    Harness.Cluster.create
-      { Harness.Cluster.default_config with seed; n_pgs = pgs }
-  in
-  let sim = Harness.Cluster.sim cluster in
-  Perf.Probe.install_sim sim;
-  let gen =
-    Workload.Txn_gen.create ~sim
-      ~rng:(Rng.create (seed + 1))
-      ~db:(Harness.Cluster.db cluster)
-      ~profile:Workload.Txn_gen.default_profile ()
-  in
-  (* Offered-load window sized so [rate] yields ~[txns] transactions. *)
-  let duration = Time_ns.of_float_us (float_of_int txns /. rate *. 1e6) in
-  Workload.Txn_gen.run_open_loop gen ~rate_per_sec:rate ~duration;
-  Sim.run_until sim (Time_ns.add duration (Time_ns.sec 2));
-  let wall_ns = Perf.Clock.elapsed_ns ~since:t0 in
-  let g1 = Gc.quick_stat () in
-  Perf.Probe.disable ();
-  Sim.set_probe sim None;
-  let st = Sim.stats sim in
-  let commits = Workload.Txn_gen.acked gen in
-  let per_commit w = if commits = 0 then 0. else w /. float_of_int commits in
-  let wall_s = float_of_int wall_ns /. 1e9 in
-  {
-    Perf.Bench_report.commits_acked = commits;
-    sim_duration_ns = Sim.now sim;
-    commits_per_sec_sim =
-      (let s = Time_ns.to_float_s duration in
-       if s = 0. then 0. else float_of_int commits /. s);
-    events_processed = st.Sim.processed;
-    wall_ns;
-    events_per_sec_wall =
-      (if wall_s = 0. then 0. else float_of_int st.Sim.processed /. wall_s);
-    gc =
-      {
-        Perf.Bench_report.minor_words_per_commit =
-          per_commit (g1.Gc.minor_words -. g0.Gc.minor_words);
-        major_words_per_commit =
-          per_commit (g1.Gc.major_words -. g0.Gc.major_words);
-        promoted_words_per_commit =
-          per_commit (g1.Gc.promoted_words -. g0.Gc.promoted_words);
-        top_heap_words = g1.Gc.top_heap_words;
-      };
-    subsystems =
-      List.map
-        (fun (name, (s : Perf.Probe.stat)) ->
-          {
-            Perf.Bench_report.subsystem = name;
-            calls = s.Perf.Probe.calls;
-            wall_ns = s.Perf.Probe.wall_ns;
-            minor_words = s.Perf.Probe.minor_words;
-          })
-        (Perf.Probe.stats ());
-  }
-
-let bench_id_of_path out =
-  let base = Filename.basename out in
-  match Filename.chop_suffix_opt ~suffix:".json" base with
-  | Some id -> id
-  | None -> base
-
-let run_report ~out ~seed ~txns ~pgs ~rate ~with_micro () =
-  let scenario_measured = run_reference_scenario ~seed ~txns ~pgs ~rate () in
-  let micro =
-    if with_micro then
-      List.filter_map
-        (fun (name, est) ->
-          match est with
-          | Some ns_per_op -> Some { Perf.Bench_report.bench_name = name; ns_per_op }
-          | None -> None)
-        (micro_estimates ())
-    else []
-  in
-  let report =
-    {
-      Perf.Bench_report.meta =
-        {
-          Perf.Bench_report.bench_id = bench_id_of_path out;
-          git_sha =
-            (match Sys.getenv_opt "AURORA_GIT_SHA" with
-            | Some sha when sha <> "" -> sha
-            | _ -> "unknown");
-          ocaml_version = Sys.ocaml_version;
-          scenario = { Perf.Bench_report.txns; pgs; seed; rate_per_sec = rate };
-        };
-      scenario_measured;
-      micro;
-    }
-  in
-  Perf.Bench_report.write ~path:out report;
-  Printf.printf
-    "wrote %s (commits=%d, %.0f commits/sec sim, %.0f events/sec wall, %.0f \
-     minor words/commit)\n"
-    out scenario_measured.Perf.Bench_report.commits_acked
-    scenario_measured.Perf.Bench_report.commits_per_sec_sim
-    scenario_measured.Perf.Bench_report.events_per_sec_wall
-    scenario_measured.Perf.Bench_report.gc
-      .Perf.Bench_report.minor_words_per_commit
-
-let report_usage =
-  "usage: main.exe report [--out FILE] [--seed N] [--txns N] [--pgs N] \
-   [--rate R] [--tiny] [--no-micro]\n"
-
-let run_report_mode args =
-  let out = ref "BENCH_report.json" in
-  let seed = ref 7 in
-  let txns = ref 2000 in
-  let pgs = ref 2 in
-  let rate = ref 2000. in
-  let with_micro = ref true in
-  let rec parse = function
-    | [] -> ()
-    | "--out" :: v :: rest ->
-      out := v;
-      parse rest
-    | "--seed" :: v :: rest ->
-      seed := int_of_string v;
-      parse rest
-    | "--txns" :: v :: rest ->
-      txns := int_of_string v;
-      parse rest
-    | "--pgs" :: v :: rest ->
-      pgs := int_of_string v;
-      parse rest
-    | "--rate" :: v :: rest ->
-      rate := float_of_string v;
-      parse rest
-    | "--tiny" :: rest ->
-      (* Smoke-scale: exercise the writer end-to-end in well under a
-         second, no timing assertions anywhere downstream. *)
-      txns := 50;
-      with_micro := false;
-      parse rest
-    | "--no-micro" :: rest ->
-      with_micro := false;
-      parse rest
-    | other :: _ ->
-      Printf.eprintf "report: unknown argument %S\n%s" other report_usage;
-      exit 2
-  in
-  parse args;
-  run_report ~out:!out ~seed:!seed ~txns:!txns ~pgs:!pgs ~rate:!rate
-    ~with_micro:!with_micro ()
-
 let () =
   let argv = Array.to_list Sys.argv in
   match argv with
-  | _ :: "report" :: args -> run_report_mode args
   | [ _ ] | [ _; "all" ] ->
     run_experiments ();
     run_micro ()
@@ -362,6 +200,6 @@ let () =
   | [ _; "micro" ] -> run_micro ()
   | _ :: other :: _ ->
     Printf.eprintf
-      "unknown mode %S (use: experiments | micro | all | report)\n" other;
+      "unknown mode %S (use: experiments | micro | all)\n" other;
     exit 1
   | [] -> ()

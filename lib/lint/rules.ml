@@ -17,8 +17,8 @@ let sim_code path =
   under "lib" path || under "bin" path || under "bench" path
 
 (* Modules whose hash-table iteration order can leak into JSON / trace /
-   time-series output.  lib/obs is the whole observability layer; report and
-   trace render experiment output directly; lib/vopr renders violation
+   time-series output.  lib/obs is the whole observability layer; report
+   renders experiment output directly; lib/vopr renders violation
    lists and repro digests whose byte-identity across reruns is the whole
    point; lib/recorder renders flight-recorder artifacts and explain
    timelines under the same byte-stability contract. *)
@@ -27,7 +27,6 @@ let output_feeding path =
   || under "lib/vopr" path
   || under "lib/recorder" path
   || path = "lib/harness/report.ml"
-  || path = "lib/simcore/trace.ml"
 
 (* ---------------------------------------------------------------- rules -- *)
 

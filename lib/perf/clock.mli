@@ -7,7 +7,7 @@
     module is the single place allowed to touch [Unix] for it — the lint
     rule whitelists exactly [lib/perf/clock.ml].
 
-    Readings feed only perf-side accounting ({!Probe}, [BENCH_*.json]);
+    Readings feed only perf-side accounting ({!Probe}, benchmark timings);
     nothing here may be consulted by simulation state. *)
 
 val now_ns : unit -> int

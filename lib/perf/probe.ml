@@ -1,18 +1,9 @@
-type subsystem = Sim_dispatch | Net_delivery | Storage_apply | Consistency_advance
-
-let all = [ Sim_dispatch; Net_delivery; Storage_apply; Consistency_advance ]
-
-let name = function
-  | Sim_dispatch -> "sim_dispatch"
-  | Net_delivery -> "net_delivery"
-  | Storage_apply -> "storage_apply"
-  | Consistency_advance -> "consistency_advance"
+type subsystem = Net_delivery | Storage_apply | Consistency_advance
 
 let index = function
-  | Sim_dispatch -> 0
-  | Net_delivery -> 1
-  | Storage_apply -> 2
-  | Consistency_advance -> 3
+  | Net_delivery -> 0
+  | Storage_apply -> 1
+  | Consistency_advance -> 2
 
 (* One mutable slot per subsystem: accumulated totals plus the open span's
    marks.  A plain record per subsystem, allocated once at module init, so
@@ -28,9 +19,8 @@ type slot = {
 let fresh_slot () =
   { calls = 0; wall_ns = 0; minor_words = 0.; open_wall = -1; open_minor = 0. }
 
-let slots = Array.init 4 (fun _ -> fresh_slot ())
+let slots = Array.init 3 (fun _ -> fresh_slot ())
 let on = ref false
-let enabled () = !on
 let enable () = on := true
 let disable () = on := false
 
@@ -68,19 +58,9 @@ let stat sub =
   let s = slots.(index sub) in
   { calls = s.calls; wall_ns = s.wall_ns; minor_words = s.minor_words }
 
-let stats () = List.map (fun sub -> (name sub, stat sub)) all
-
 (* Declares the module-global state above ([slots] via [reset], [on]
    directly) to the reset-hook registry the typed sim-global lint checks. *)
 let () =
   Simcore.Reset.register ~name:"perf.probe" (fun () ->
       on := false;
       reset ())
-
-let install_sim sim =
-  Simcore.Sim.set_probe sim
-    (Some
-       {
-         Simcore.Sim.on_start = (fun () -> start Sim_dispatch);
-         on_stop = (fun () -> stop Sim_dispatch);
-       })

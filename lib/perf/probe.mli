@@ -1,10 +1,12 @@
 (** Per-subsystem profiling hooks: wall-clock timers and allocation
     counters around the simulator's hot paths.
 
-    The four instrumented subsystems are the ones every scale claim rests
-    on: {!Simcore.Sim} event dispatch, {!Simnet.Net} message delivery, the
-    storage node's foreground write apply, and consistency-point
-    advancement in [Aurora_core.Consistency].
+    The three instrumented subsystems are the layers the libraries emit
+    spans for: {!Simnet.Net} message delivery, the storage node's
+    foreground write apply, and consistency-point advancement in
+    [Aurora_core.Consistency].  Simulator event dispatch is timed by
+    whoever attaches a {!Simcore.Sim.set_probe} hook (the perfbench
+    tracer does).
 
     All state lives here, outside the simulation: enabling or disabling
     probes changes *nothing* observable inside a run (no RNG draws, no sim
@@ -12,26 +14,17 @@
     is untouched.  Probes are disabled by default; a disabled
     {!start}/{!stop} pair costs one load and branch.
 
-    Spans may nest across subsystems (dispatch > delivery > apply) but a
-    subsystem's spans must not nest within themselves — each subsystem has
-    a single open-span slot, which is what keeps the enabled path
-    allocation-free apart from the boxed float [Unix.gettimeofday]
-    returns. *)
+    Spans may nest across subsystems (delivery > apply) but a subsystem's
+    spans must not nest within themselves — each subsystem has a single
+    open-span slot, which is what keeps the enabled path allocation-free
+    apart from the boxed float [Unix.gettimeofday] returns. *)
 
 type subsystem =
-  | Sim_dispatch  (** One simulator event execution. *)
   | Net_delivery  (** One message hand-off to its delivery handler. *)
   | Storage_apply  (** One [Write_batch] foreground apply on a storage node. *)
   | Consistency_advance
       (** One ack processed through SCL -> PGCL -> VCL advancement. *)
 
-val all : subsystem list
-(** In fixed declaration order — the order every report lists them in. *)
-
-val name : subsystem -> string
-(** Stable snake_case identifier used in [BENCH_*.json]. *)
-
-val enabled : unit -> bool
 val enable : unit -> unit
 val disable : unit -> unit
 
@@ -57,10 +50,3 @@ type stat = {
 }
 
 val stat : subsystem -> stat
-
-val stats : unit -> (string * stat) list
-(** All subsystems in {!all} order, keyed by {!name}. *)
-
-val install_sim : Simcore.Sim.t -> unit
-(** Attach a {!Sim_dispatch} span around every event the given simulator
-    executes (via {!Simcore.Sim.set_probe}). *)

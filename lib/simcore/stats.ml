@@ -1,73 +1,3 @@
-type t = {
-  mutable data : float array;
-  mutable n : int;
-  mutable sum : float;
-  mutable sumsq : float;
-  mutable vmin : float;
-  mutable vmax : float;
-}
-
-let create () =
-  {
-    data = [||];
-    n = 0;
-    sum = 0.;
-    sumsq = 0.;
-    vmin = infinity;
-    vmax = neg_infinity;
-  }
-
-let add t v =
-  if t.n = Array.length t.data then begin
-    let cap = if t.n = 0 then 16 else t.n * 2 in
-    let ndata = Array.make cap 0. in
-    Array.blit t.data 0 ndata 0 t.n;
-    t.data <- ndata
-  end;
-  t.data.(t.n) <- v;
-  t.n <- t.n + 1;
-  t.sum <- t.sum +. v;
-  t.sumsq <- t.sumsq +. (v *. v);
-  if v < t.vmin then t.vmin <- v;
-  if v > t.vmax then t.vmax <- v
-
-let of_list l =
-  let t = create () in
-  List.iter (add t) l;
-  t
-
-let count t = t.n
-let mean t = if t.n = 0 then 0. else t.sum /. float_of_int t.n
-
-let stddev t =
-  if t.n = 0 then 0.
-  else begin
-    let m = mean t in
-    let var = (t.sumsq /. float_of_int t.n) -. (m *. m) in
-    if var < 0. then 0. else sqrt var
-  end
-
-let min_value t = if t.n = 0 then 0. else t.vmin
-let max_value t = if t.n = 0 then 0. else t.vmax
-
-let percentile t p =
-  if t.n = 0 then 0.
-  else begin
-    let sorted = Array.sub t.data 0 t.n in
-    Array.sort Float.compare sorted;
-    let p = Float.max 0. (Float.min 100. p) in
-    let rank = p /. 100. *. float_of_int (t.n - 1) in
-    let lo = int_of_float (floor rank) in
-    let hi = int_of_float (ceil rank) in
-    if lo = hi then sorted.(lo)
-    else begin
-      let frac = rank -. float_of_int lo in
-      sorted.(lo) +. (frac *. (sorted.(hi) -. sorted.(lo)))
-    end
-  end
-
-let values t = Array.sub t.data 0 t.n
-
 module Ewma = struct
   type t = { alpha : float; mutable v : float; mutable n : int }
 

@@ -1,26 +1,4 @@
-(** Exact summary statistics over small samples.
-
-    Complements {!Histogram} (approximate, unbounded-stream) for cases where
-    the sample set is small enough to keep: per-node latency trackers, test
-    oracles, and table rendering in the experiment harness. *)
-
-type t
-
-val create : unit -> t
-val add : t -> float -> unit
-val of_list : float list -> t
-val count : t -> int
-val mean : t -> float
-val stddev : t -> float
-val min_value : t -> float
-val max_value : t -> float
-
-val percentile : t -> float -> float
-(** Exact percentile by sorting (linear interpolation between order
-    statistics); 0 when empty. *)
-
-val values : t -> float array
-(** Copy of recorded values in insertion order. *)
+(** Running statistics kept by the simulated components. *)
 
 (** Exponentially weighted moving average, used by the read path's
     per-segment latency tracker (§3.1 of the paper). *)

@@ -34,10 +34,12 @@ dune build @lint-typed
 
 dune runtest
 
-# Perf-report smoke: write a tiny-scale BENCH report and push it through the
-# reader + regression-compare path (no timing assertions), so the JSON
-# writer and compare logic cannot rot between bench runs.
-dune build @bench-smoke
+# Benchmark smoke: one short run of the repo benchmark (perfbench/, see
+# perfbench/README.md).  It exits non-zero if any of its durability,
+# determinism or catalog checks fails, so tier-1 still drives a benchmark
+# end to end.
+dune build ./perfbench/main.exe
+./_build/default/perfbench/main.exe --workload oltp_write --seed 1 --seconds 1 >/dev/null
 
 # VOPR smoke: three short curated fault scenarios, a digest-determinism
 # double-run, and a 25-seed nemesis mini-swarm — every run must end with

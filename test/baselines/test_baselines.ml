@@ -1,5 +1,5 @@
-(* Tests for the baseline protocols: 2PC, Paxos, Paxos commit, leases,
-   write-all/read-one replication, and the ARIES cost model. *)
+(* Tests for the baseline protocols: 2PC, Paxos, Paxos commit, and the
+   ARIES cost model. *)
 open Simcore
 
 let check_int = Alcotest.(check int)
@@ -138,54 +138,6 @@ let test_paxos_commit_log () =
   check_int "all acked" 10 !acked;
   check_int "log length" 10 (Baselines.Paxos_commit.log_length px)
 
-(* ---- Lease ---- *)
-
-let test_lease () =
-  let sim = Sim.create () in
-  let l =
-    Baselines.Lease.create ~sim ~duration:(Time_ns.ms 100)
-      ~max_clock_skew:(Time_ns.ms 10)
-  in
-  check_bool "first acquire" true (Baselines.Lease.acquire l ~holder:1 = Ok ());
-  (* A contender must wait for duration + skew. *)
-  (match Baselines.Lease.acquire l ~holder:2 with
-  | Error wait -> check_int "full wait" (Time_ns.ms 110) wait
-  | Ok () -> Alcotest.fail "lease stolen");
-  check_bool "incumbent renews" true (Baselines.Lease.renew l ~holder:1);
-  (* After expiry (no renewal), takeover succeeds immediately. *)
-  Sim.run_until sim (Time_ns.ms 200);
-  check_bool "expired" true (Baselines.Lease.holder l (Sim.now sim) = None);
-  check_bool "takeover" true (Baselines.Lease.acquire l ~holder:2 = Ok ());
-  check_bool "old holder locked out" false (Baselines.Lease.renew l ~holder:1)
-
-(* ---- WARO ---- *)
-
-let test_waro () =
-  let sim, rng, net = fixture () in
-  let w =
-    Baselines.Waro.create ~sim ~rng ~net
-      ~config:
-        {
-          Baselines.Waro.client = addr 0;
-          replicas = List.init 3 (fun i -> addr (i + 1));
-          disk;
-        }
-      ()
-  in
-  let wrote = ref false and read_back = ref None in
-  Baselines.Waro.write w ~key:"k" ~value:"v" ~on_done:(fun () ->
-      wrote := true;
-      Baselines.Waro.read w ~key:"k" ~on_done:(fun v -> read_back := Some v));
-  Sim.run sim;
-  check_bool "write completed" true !wrote;
-  Alcotest.(check (option (option string))) "read one copy" (Some (Some "v")) !read_back;
-  (* One dead replica blocks all writes: the availability flip side. *)
-  Simnet.Net.set_down net (addr 3);
-  let wrote2 = ref false in
-  Baselines.Waro.write w ~key:"k2" ~value:"v2" ~on_done:(fun () -> wrote2 := true);
-  Sim.run_until sim (Time_ns.add (Sim.now sim) (Time_ns.sec 1));
-  check_bool "write-all blocked by one failure" false !wrote2
-
 (* ---- ARIES model ---- *)
 
 let test_aries_linear () =
@@ -229,8 +181,6 @@ let () =
         ] );
       ( "paxos_commit",
         [ Alcotest.test_case "replicated log" `Quick test_paxos_commit_log ] );
-      ("lease", [ Alcotest.test_case "expiry semantics" `Quick test_lease ]);
-      ("waro", [ Alcotest.test_case "write-all read-one" `Quick test_waro ]);
       ( "aries",
         [
           Alcotest.test_case "linear in backlog" `Quick test_aries_linear;

@@ -59,21 +59,6 @@ let test_scheme_rules_safe () =
            ~write:rule.Quorum_set.Rule.write))
     [ Cluster.V6; Cluster.V3; Cluster.Tiered ]
 
-let test_trace () =
-  let tr = Trace.create ~capacity:3 () in
-  Trace.record tr ~at:(Time_ns.ms 1) "dropped (disabled)";
-  check_int "disabled = no-op" 0 (Trace.length tr);
-  Trace.enable tr;
-  for i = 1 to 5 do
-    Trace.recordf tr ~at:(Time_ns.ms i) "event %d" i
-  done;
-  check_int "ring keeps capacity" 3 (Trace.length tr);
-  (match Trace.events tr with
-  | (_, m) :: _ -> Alcotest.(check string) "oldest survivor" "event 3" m
-  | [] -> Alcotest.fail "empty");
-  Trace.clear tr;
-  check_int "cleared" 0 (Trace.length tr)
-
 (* ---- fault API under load (the surface lib/vopr drives) ---- *)
 
 let pg0 = Storage.Pg_id.of_int 0
@@ -225,5 +210,4 @@ let () =
           Alcotest.test_case "E3 figure exact" `Quick test_e3_exact;
           Alcotest.test_case "scheme rules safe" `Quick test_scheme_rules_safe;
         ] );
-      ("trace", [ Alcotest.test_case "ring buffer" `Quick test_trace ]);
     ]

@@ -291,18 +291,6 @@ let test_histogram_windowed_snapshot () =
 
 (* ---- Stats ---- *)
 
-let test_stats_percentile_exact () =
-  let s = Stats.of_list [ 1.; 2.; 3.; 4.; 5. ] in
-  check_bool "p50" true (Stats.percentile s 50. = 3.);
-  check_bool "p0" true (Stats.percentile s 0. = 1.);
-  check_bool "p100" true (Stats.percentile s 100. = 5.);
-  check_bool "p25 interp" true (Stats.percentile s 25. = 2.)
-
-let test_stats_moments () =
-  let s = Stats.of_list [ 2.; 4.; 4.; 4.; 5.; 5.; 7.; 9. ] in
-  check_bool "mean" true (Stats.mean s = 5.);
-  check_bool "stddev" true (abs_float (Stats.stddev s -. 2.0) < 1e-9)
-
 let test_ewma () =
   let e = Stats.Ewma.create ~alpha:0.5 ~init:0. in
   Stats.Ewma.observe e 10.;
@@ -319,29 +307,6 @@ let test_time_units () =
   check_int "sec" 1_000_000_000 (Time_ns.sec 1);
   check_int "of_float_us" 1_500 (Time_ns.of_float_us 1.5);
   Alcotest.(check string) "pp ms" "1.50ms" (Time_ns.to_string (Time_ns.us 1500))
-
-let test_trace_ring_eviction () =
-  let tr = Trace.create ~capacity:4 () in
-  Trace.enable tr;
-  for i = 1 to 6 do
-    Trace.record tr ~at:(Time_ns.ns i) (Printf.sprintf "e%d" i)
-  done;
-  check_int "length capped" 4 (Trace.length tr);
-  Alcotest.(check (list string))
-    "oldest evicted" [ "e3"; "e4"; "e5"; "e6" ]
-    (List.map snd (Trace.events tr));
-  Trace.clear tr;
-  check_int "cleared" 0 (Trace.length tr)
-
-let test_trace_disabled_noop () =
-  let tr = Trace.create ~capacity:4 () in
-  Trace.record tr ~at:(Time_ns.ns 1) "dropped";
-  check_int "disabled records nothing" 0 (Trace.length tr);
-  Trace.enable tr;
-  Trace.record tr ~at:(Time_ns.ns 2) "kept";
-  Trace.disable tr;
-  Trace.record tr ~at:(Time_ns.ns 3) "dropped again";
-  check_int "only enabled-window events" 1 (Trace.length tr)
 
 let () =
   let qc = QCheck_alcotest.to_alcotest in
@@ -394,14 +359,7 @@ let () =
         ] );
       ( "stats",
         [
-          Alcotest.test_case "percentile exact" `Quick test_stats_percentile_exact;
-          Alcotest.test_case "moments" `Quick test_stats_moments;
           Alcotest.test_case "ewma" `Quick test_ewma;
         ] );
       ("time", [ Alcotest.test_case "units" `Quick test_time_units ]);
-      ( "trace",
-        [
-          Alcotest.test_case "ring eviction" `Quick test_trace_ring_eviction;
-          Alcotest.test_case "disabled no-op" `Quick test_trace_disabled_noop;
-        ] );
     ]

@@ -230,13 +230,19 @@ let test_block_versions () =
 
 (* ---- Truncation ---- *)
 
+(* The truncation range a recovering writer registers with each segment
+   (Figure 4): [(above, upto]] is annulled, both neighbours stay valid, and
+   allocation resumes just above [upto]. *)
 let test_truncation () =
-  let t = Truncation.make ~above:(lsn 10) ~upto:(lsn 20) in
-  check_bool "below untouched" false (Truncation.annuls t (lsn 10));
-  check_bool "in range" true (Truncation.annuls t (lsn 15));
-  check_bool "upper inclusive" true (Truncation.annuls t (lsn 20));
-  check_bool "above range" false (Truncation.annuls t (lsn 21));
-  check_int "next allocatable" 21 (Lsn.to_int (Truncation.next_allocatable t))
+  let log = Hot_log.create () in
+  ignore (Hot_log.annul_range log ~above:(lsn 10) ~upto:(lsn 20) : int);
+  check_bool "below untouched" false (Hot_log.is_annulled log (lsn 10));
+  check_bool "in range" true (Hot_log.is_annulled log (lsn 15));
+  check_bool "upper inclusive" true (Hot_log.is_annulled log (lsn 20));
+  check_bool "above range" false (Hot_log.is_annulled log (lsn 21));
+  let a = Lsn.Allocator.create () in
+  Lsn.Allocator.reset_above a (lsn 20);
+  check_int "next allocatable" 21 (Lsn.to_int (Lsn.Allocator.take a))
 
 (* ---- Txn ids ---- *)
 
