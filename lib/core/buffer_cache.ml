@@ -1,13 +1,20 @@
 open Wal
 
+(* Cached blocks form an intrusive doubly-linked LRU list through mutable
+   [prev]/[next] links around a sentinel (the TigerBeetle static-allocation
+   idiom the sim pool uses): [sentinel.next] is the coldest block,
+   [sentinel.prev] the hottest.  A touch relinks in place and allocates
+   nothing. *)
 type cached_block = {
+  block : Block_id.t;
   keys : (string, Storage.Block_store.version list) Hashtbl.t;
   mutable last_lsn : Lsn.t;
-  mutable last_used : int;
   (* A block created by a blind write holds only the keys written since it
      entered the cache; only a storage image makes it authoritative for
      absent keys. *)
   mutable complete : bool;
+  mutable prev : cached_block;
+  mutable next : cached_block;
 }
 
 type stats = { hits : int; misses : int; evictions : int; eviction_blocked : int }
@@ -15,28 +22,47 @@ type stats = { hits : int; misses : int; evictions : int; eviction_blocked : int
 type t = {
   capacity : int;
   table : cached_block Block_id.Tbl.t;
-  mutable clock : int;
+  lru : cached_block;  (* sentinel: never in [table], its [block] unused *)
   mutable hits : int;
   mutable misses : int;
   mutable evictions : int;
   mutable eviction_blocked : int;
 }
 
+(* A block linked only to itself, ready for [link_hottest]. *)
+let detached block keys =
+  let rec b =
+    { block; keys; last_lsn = Lsn.none; complete = false; prev = b; next = b }
+  in
+  b
+
 let create ~capacity =
   if capacity <= 0 then invalid_arg "Buffer_cache.create: capacity";
   {
     capacity;
     table = Block_id.Tbl.create capacity;
-    clock = 0;
+    lru = detached (Block_id.of_int 0) (Hashtbl.create 1);
     hits = 0;
     misses = 0;
     evictions = 0;
     eviction_blocked = 0;
   }
 
+let unlink entry =
+  entry.prev.next <- entry.next;
+  entry.next.prev <- entry.prev
+
+let link_hottest t entry =
+  let hottest = t.lru.prev in
+  entry.prev <- hottest;
+  entry.next <- t.lru;
+  hottest.next <- entry;
+  t.lru.prev <- entry
+
+(* Mark [entry] most recently used. *)
 let touch t entry =
-  t.clock <- t.clock + 1;
-  entry.last_used <- t.clock
+  unlink entry;
+  link_hottest t entry
 
 let contains t block = Block_id.Tbl.mem t.table block
 
@@ -62,39 +88,30 @@ let read t block ~key =
     else Partial chain
 
 (* Evict LRU blocks whose redo is durable (last_lsn <= vdl) until at
-   capacity.  Dirty blocks are skipped; if everything over capacity is
-   dirty we stay oversized — the WAL rule wins over the memory target. *)
-let evict_pressure t ~vdl =
-  let excess () = Block_id.Tbl.length t.table - t.capacity in
-  let continue = ref (excess () > 0) in
-  while !continue do
-    let victim =
-      Block_id.Tbl.fold
-        (fun block entry acc ->
-          if Lsn.(entry.last_lsn <= vdl) then
-            match acc with
-            | Some (_, best) when best.last_used <= entry.last_used -> acc
-            | _ -> Some (block, entry)
-          else acc)
-        t.table None
-    in
-    match victim with
-    | Some (block, _) ->
-      Block_id.Tbl.remove t.table block;
+   capacity, walking from [entry] towards the hot end.  Dirty blocks are
+   skipped; if everything over capacity is dirty we stay oversized — the
+   WAL rule wins over the memory target.  Dirty blocks stay dirty while
+   [vdl] is fixed, so the walk never has to restart from the cold end. *)
+let rec evict_from t entry ~vdl =
+  if Block_id.Tbl.length t.table > t.capacity then
+    if entry == t.lru then t.eviction_blocked <- t.eviction_blocked + 1
+    else if Lsn.(entry.last_lsn > vdl) then evict_from t entry.next ~vdl
+    else begin
+      let next = entry.next in
+      unlink entry;
+      Block_id.Tbl.remove t.table entry.block;
       t.evictions <- t.evictions + 1;
-      continue := excess () > 0
-    | None ->
-      t.eviction_blocked <- t.eviction_blocked + 1;
-      continue := false
-  done
+      evict_from t next ~vdl
+    end
+
+let evict_pressure t ~vdl = evict_from t t.lru.next ~vdl
 
 let entry_of t block =
   match Block_id.Tbl.find_opt t.table block with
   | Some e -> e
   | None ->
-    let e =
-      { keys = Hashtbl.create 8; last_lsn = Lsn.none; last_used = 0; complete = false }
-    in
+    let e = detached block (Hashtbl.create 8) in
+    link_hottest t e;
     Block_id.Tbl.add t.table block e;
     e
 
@@ -176,4 +193,7 @@ let stats t =
     eviction_blocked = t.eviction_blocked;
   }
 
-let drop_all t = Block_id.Tbl.reset t.table
+let drop_all t =
+  Block_id.Tbl.reset t.table;
+  t.lru.prev <- t.lru;
+  t.lru.next <- t.lru

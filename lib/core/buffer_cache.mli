@@ -63,7 +63,11 @@ val stats : t -> stats
 
 val evict_pressure : t -> vdl:Lsn.t -> unit
 (** Shrink to capacity, evicting least-recently-used clean blocks.  Called
-    with the current VDL so the WAL rule can be enforced. *)
+    with the current VDL so the WAL rule can be enforced.
+
+    Cost: O(1) when at capacity; otherwise one walk from the cold end of
+    the LRU list over dirty blocks (last modified above [vdl]) to each
+    victim, O(evicted + dirty blocks skipped) in all.  Allocation-free. *)
 
 val drop_all : t -> unit
 (** Crash: the cache is ephemeral state. *)

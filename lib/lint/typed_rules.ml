@@ -35,6 +35,8 @@ let default =
         "Wal.Log_record.lsn_range";
         "Wal.Log_record.is_commit";
         "Wal.Log_record.is_abort";
+        "Aurora_core.Buffer_cache.touch";
+        "Aurora_core.Buffer_cache.evict_pressure";
       ];
     sim_scope = (fun src -> has_prefix ~prefix:"lib/" src);
     sim_allow = [ "lib/simcore/reset.ml" ];

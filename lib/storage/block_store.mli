@@ -24,7 +24,12 @@ val create : unit -> t
 val apply : t -> Wal.Log_record.t -> unit
 (** Apply one redo record.  Records for a given block must be applied in
     block-chain (ascending LSN) order; commit/abort/noop records are
-    ignored here (transaction status lives at the database tier). *)
+    ignored here (transaction status lives at the database tier).
+
+    Cost: O(1) expected, independent of the block's size — the block
+    checksum moves by the old and new newest-version digests.  The first
+    write to a block after {!corrupt} recomputes it instead, O(keys in the
+    block). *)
 
 val applied_upto : t -> Wal.Lsn.t
 (** Highest LSN applied so far. *)
@@ -63,7 +68,11 @@ val gc :
     older than the newest *committed* version with [lsn <= floor] is
     unreferenced by any legal read view and is collected.  Uncommitted or
     unknown-outcome versions never anchor the cut (their data below must
-    survive the logical undo).  Returns versions dropped. *)
+    survive the logical undo).  Returns versions dropped.
+
+    Cost: O(keys holding two or more versions), plus O(versions dropped) —
+    single-version keys are never visited, and a chain is rewritten only
+    when something is dropped from it. *)
 
 val blocks : t -> Wal.Block_id.t list
 val version_count : t -> int

@@ -34,12 +34,14 @@ dune build @lint-typed
 
 dune runtest
 
-# Benchmark smoke: one short run of the repo benchmark (perfbench/, see
+# Benchmark smoke: short runs of the repo benchmark (perfbench/, see
 # perfbench/README.md).  It exits non-zero if any of its durability,
 # determinism or catalog checks fails, so tier-1 still drives a benchmark
-# end to end.
+# end to end.  read_miss adds buffer-cache eviction and storage GC under a
+# cache far smaller than the working set.
 dune build ./perfbench/main.exe
 ./_build/default/perfbench/main.exe --workload oltp_write --seed 1 --seconds 1 >/dev/null
+./_build/default/perfbench/main.exe --workload read_miss --seed 1 --seconds 1 >/dev/null
 
 # VOPR smoke: three short curated fault scenarios, a digest-determinism
 # double-run, and a 25-seed nemesis mini-swarm — every run must end with

@@ -319,6 +319,159 @@ let test_cache_install_preserves_local () =
       newest.Storage.Block_store.value
   | _ -> Alcotest.fail "expected merged chain"
 
+(* Random cache traffic against the reference eviction model: among clean
+   entries (last_lsn <= vdl), evict the one with the smallest last-used
+   stamp, until at capacity or nothing clean is left. *)
+type cache_op =
+  | C_apply of int  (* block *)
+  | C_apply_if_present of int
+  | C_read of int
+  | C_install of int * int  (* block, image versions' lsn back-off *)
+  | C_evict
+  | C_drop_all
+
+let cache_op_gen =
+  let open QCheck.Gen in
+  let block = int_range 0 7 in
+  frequency
+    [
+      (5, map (fun b -> C_apply b) block);
+      (2, map (fun b -> C_apply_if_present b) block);
+      (4, map (fun b -> C_read b) block);
+      (3, map2 (fun b d -> C_install (b, d)) block (int_range 0 6));
+      (2, return C_evict);
+      (1, return C_drop_all);
+    ]
+
+let print_cache_op = function
+  | C_apply b -> Printf.sprintf "apply b%d" b
+  | C_apply_if_present b -> Printf.sprintf "apply_if_present b%d" b
+  | C_read b -> Printf.sprintf "read b%d" b
+  | C_install (b, d) -> Printf.sprintf "install b%d -%d" b d
+  | C_evict -> "evict_pressure"
+  | C_drop_all -> "drop_all"
+
+let prop_cache_lru_matches_model =
+  QCheck.Test.make ~name:"LRU list vs min-last_used model" ~count:300
+    QCheck.(
+      make
+        ~print:(fun (cap, ops) ->
+          Printf.sprintf "capacity %d: %s" cap
+            (String.concat "; "
+               (List.map (fun (op, v) -> Printf.sprintf "%s @vdl-%d" (print_cache_op op) v) ops)))
+        Gen.(
+          pair (int_range 1 4)
+            (list_size (int_range 1 80)
+               (pair cache_op_gen
+                  (* VDL back-off from the newest LSN; often everything is
+                     dirty, so the blocked path is exercised. *)
+                  (frequency [ (1, return max_int); (3, int_range 0 6) ])))))
+    (fun (capacity, ops) ->
+      let cache = Buffer_cache.create ~capacity in
+      (* block -> (last_lsn, last_used) *)
+      let model : (int, int * int) Hashtbl.t = Hashtbl.create 8 in
+      let clock = ref 0 and next = ref 0 in
+      let evictions = ref 0 and blocked = ref 0 in
+      let touch b l =
+        incr clock;
+        Hashtbl.replace model b (l, !clock)
+      in
+      let last_lsn b = match Hashtbl.find_opt model b with Some (l, _) -> l | None -> 0 in
+      let evict vdl =
+        let rec go () =
+          if Hashtbl.length model > capacity then
+            let victim =
+              Hashtbl.fold
+                (fun b (l, used) acc ->
+                  if l > vdl then acc
+                  else
+                    match acc with
+                    | Some (_, best) when best <= used -> acc
+                    | _ -> Some (b, used))
+                model None
+            in
+            match victim with
+            | Some (b, _) ->
+              Hashtbl.remove model b;
+              incr evictions;
+              go ()
+            | None -> incr blocked
+        in
+        go ()
+      in
+      List.iter
+        (fun (op, back) ->
+          let vdl = max 0 (!next - back) in
+          (match op with
+          | C_apply b ->
+            incr next;
+            let vdl = max 0 (!next - back) in
+            Buffer_cache.apply cache (put_record ~l:!next ~block:b "k" "v") ~vdl:(lsn vdl);
+            touch b (max (last_lsn b) !next);
+            evict vdl
+          | C_apply_if_present b ->
+            incr next;
+            let vdl = max 0 (!next - back) in
+            let applied =
+              Buffer_cache.apply_if_present cache
+                (put_record ~l:!next ~block:b "k" "v") ~vdl:(lsn vdl)
+            in
+            if applied <> Hashtbl.mem model b then
+              QCheck.Test.fail_reportf "apply_if_present b%d disagrees" b;
+            if applied then begin
+              touch b (max (last_lsn b) !next);
+              evict vdl
+            end
+          | C_read b ->
+            ignore (Buffer_cache.read cache (Block_id.of_int b) ~key:"k" : Buffer_cache.lookup);
+            if Hashtbl.mem model b then touch b (last_lsn b)
+          | C_install (b, d) ->
+            let l = max 1 (!next - d) in
+            Buffer_cache.install cache
+              {
+                Storage.Protocol.image_block = Block_id.of_int b;
+                image_as_of = lsn l;
+                image_entries = [ ("k", [ version ~l ~t:1 "img" ]) ];
+              }
+              ~vdl:(lsn vdl);
+            touch b (max (last_lsn b) l);
+            evict vdl
+          | C_evict ->
+            Buffer_cache.evict_pressure cache ~vdl:(lsn vdl);
+            evict vdl
+          | C_drop_all ->
+            Buffer_cache.drop_all cache;
+            Hashtbl.reset model);
+          for b = 0 to 7 do
+            if Buffer_cache.contains cache (Block_id.of_int b) <> Hashtbl.mem model b
+            then
+              QCheck.Test.fail_reportf "b%d membership differs after %s" b
+                (print_cache_op op)
+          done;
+          let st = Buffer_cache.stats cache in
+          if st.evictions <> !evictions || st.eviction_blocked <> !blocked then
+            QCheck.Test.fail_reportf
+              "after %s: evictions %d/%d blocked %d/%d (cache/model)"
+              (print_cache_op op) st.evictions !evictions st.eviction_blocked
+              !blocked)
+        ops;
+      true)
+
+let test_cache_all_dirty_blocked () =
+  let cache = Buffer_cache.create ~capacity:1 in
+  Buffer_cache.apply cache (put_record ~l:1 ~block:0 "a" "1") ~vdl:Lsn.none;
+  Buffer_cache.apply cache (put_record ~l:2 ~block:1 "b" "2") ~vdl:Lsn.none;
+  Buffer_cache.apply cache (put_record ~l:3 ~block:2 "c" "3") ~vdl:Lsn.none;
+  let st = Buffer_cache.stats cache in
+  check_int "nothing evicted" 0 st.evictions;
+  check_int "each over-capacity attempt blocked" 2 st.eviction_blocked;
+  (* Only the coldest blocks become clean: they go first, in LRU order,
+     and the dirty hottest block stays. *)
+  Buffer_cache.evict_pressure cache ~vdl:(lsn 2);
+  check_int "evicted down to capacity" 1 (Buffer_cache.size cache);
+  check_bool "dirty block pinned" true (Buffer_cache.contains cache (Block_id.of_int 2));
+  check_int "two evictions" 2 (Buffer_cache.stats cache).evictions
+
 (* ---- Commit queue ---- *)
 
 let test_commit_queue () =
@@ -460,6 +613,9 @@ let () =
             test_cache_partial_vs_complete;
           Alcotest.test_case "install preserves local" `Quick
             test_cache_install_preserves_local;
+          Alcotest.test_case "all dirty: eviction blocked" `Quick
+            test_cache_all_dirty_blocked;
+          qc prop_cache_lru_matches_model;
         ] );
       ("commit_queue", [ Alcotest.test_case "scn gating" `Quick test_commit_queue ]);
       ( "recovery",

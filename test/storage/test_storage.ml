@@ -109,6 +109,217 @@ let test_block_store_scrub () =
     (Storage.Block_store.block_snapshot good (blk 0));
   check_bool "repaired" true (Storage.Block_store.verify s (blk 0))
 
+(* From-scratch block checksum: the order-independent sum of a digest of
+   each key's newest version, recomputed from the block's snapshot. *)
+let reference_checksum s b =
+  List.fold_left
+    (fun acc (key, vs) ->
+      match vs with
+      | [] -> acc
+      | (v : Storage.Block_store.version) :: _ ->
+        let h = Bits.fnv1a_string key in
+        let h =
+          match v.value with
+          | Some x -> Bits.fnv1a_add_string h x
+          | None -> Bits.fnv1a_add_int h (-1)
+        in
+        let h = Bits.fnv1a_add_int h (Txn_id.to_int v.txn) in
+        acc + Bits.fnv1a_add_int h (Lsn.to_int v.lsn))
+    0
+    (Storage.Block_store.block_snapshot s b)
+
+let test_block_store_corrupt_until_write () =
+  let module B = Storage.Block_store in
+  let s = B.create () in
+  B.apply s (put ~l:1 ~block:0 "a" "v1");
+  B.apply s (put ~l:2 ~block:0 "b" "v2");
+  B.apply s (put ~l:3 ~block:1 "c" "v3");
+  let before = B.checksum s (blk 0) in
+  check_bool "corruption injected" true (B.corrupt s (blk 0));
+  check_int "stored checksum untouched" before (B.checksum s (blk 0));
+  check_bool "detected" false (B.verify s (blk 0));
+  (* Writes elsewhere and collections that drop nothing in the block leave
+     the corruption visible. *)
+  B.apply s (put ~l:4 ~block:1 "c" "v4");
+  check_int "nothing to collect" 0
+    (B.gc s ~keep_at_or_above:(lsn 2) ~is_committed:(fun _ -> true));
+  check_bool "still detected" false (B.verify s (blk 0));
+  check_bool "other block clean" true (B.verify s (blk 1));
+  (* The next write to the block re-baselines it: the stored checksum is
+     then the full recompute over the (corrupted) contents. *)
+  B.apply s (put ~l:5 ~block:0 "a" "v5");
+  check_bool "re-baselined by write" true (B.verify s (blk 0));
+  check_int "matches recompute" (reference_checksum s (blk 0))
+    (B.checksum s (blk 0));
+  (* A collection that drops versions from a corrupted block re-baselines
+     it too, as does a rollback that drops versions. *)
+  check_bool "corrupt again" true (B.corrupt s (blk 0));
+  check_int "collected a@1 and c@3" 2
+    (B.gc s ~keep_at_or_above:(lsn 5) ~is_committed:(fun _ -> true));
+  check_bool "re-baselined by gc" true (B.verify s (blk 0));
+  B.apply s (put ~l:6 ~block:0 "b" "v6");
+  check_bool "corrupt once more" true (B.corrupt s (blk 0));
+  check_int "rolled back" 1 (B.rollback_above s (lsn 5));
+  check_bool "re-baselined by rollback" true (B.verify s (blk 0))
+
+(* Random apply / gc / rollback_above / load_snapshot sequences against a
+   naive model: every key's full chain in one table, collected by a full
+   scan. *)
+type store_op =
+  | Op_put of int * string * int  (* block, key, txn *)
+  | Op_delete of int * string * int
+  | Op_gc of int * int  (* floor below the newest LSN, committed-txn mask *)
+  | Op_rollback of int  (* bound below the newest LSN *)
+  | Op_load of int * (string * (int * int) list) list
+      (* block, key -> (txn, value-or-delete) chain, newest first *)
+
+let store_op_gen =
+  let open QCheck.Gen in
+  let block = int_range 0 3 in
+  let key = map (fun i -> String.make 1 (Char.chr (97 + i))) (int_range 0 3) in
+  let txn = int_range 1 5 in
+  frequency
+    [
+      (6, map3 (fun b k t -> Op_put (b, k, t)) block key txn);
+      (2, map3 (fun b k t -> Op_delete (b, k, t)) block key txn);
+      (3, map2 (fun f m -> Op_gc (f, m)) (int_range 0 8) (int_range 0 31));
+      (1, map (fun f -> Op_rollback f) (int_range 0 4));
+      ( 1,
+        map2
+          (fun b entries -> Op_load (b, entries))
+          block
+          (list_size (int_range 0 3)
+             (pair key (list_size (int_range 0 3) (pair txn (int_range 0 2))))) );
+    ]
+
+let print_store_op = function
+  | Op_put (b, k, t) -> Printf.sprintf "put b%d %s t%d" b k t
+  | Op_delete (b, k, t) -> Printf.sprintf "delete b%d %s t%d" b k t
+  | Op_gc (f, m) -> Printf.sprintf "gc -%d mask %d" f m
+  | Op_rollback f -> Printf.sprintf "rollback -%d" f
+  | Op_load (b, es) -> Printf.sprintf "load b%d (%d keys)" b (List.length es)
+
+let reference_gc model ~floor ~is_committed =
+  let dropped = ref 0 in
+  Hashtbl.filter_map_inplace
+    (fun _ vs ->
+      let rec split kept = function
+        | [] -> List.rev kept
+        | (v : Storage.Block_store.version) :: rest ->
+          if Lsn.(v.lsn <= floor) && is_committed v.txn then begin
+            dropped := !dropped + List.length rest;
+            List.rev (v :: kept)
+          end
+          else split (v :: kept) rest
+      in
+      Some (split [] vs))
+    model;
+  !dropped
+
+let prop_block_store_matches_model =
+  QCheck.Test.make
+    ~name:"checksum + gc vs full-scan model"
+    ~count:300
+    QCheck.(
+      make
+        ~print:(fun ops -> String.concat "; " (List.map print_store_op ops))
+        Gen.(list_size (int_range 1 80) store_op_gen))
+    (fun ops ->
+      let module B = Storage.Block_store in
+      let s = B.create () in
+      let model : (int * string, B.version list) Hashtbl.t = Hashtbl.create 16 in
+      let next = ref 0 in
+      let version value t =
+        incr next;
+        { B.value; txn = txn t; lsn = lsn !next }
+      in
+      let record b t op =
+        Log_record.make ~lsn:(lsn !next) ~prev_volume:(lsn (!next - 1))
+          ~prev_segment:Lsn.none ~prev_block:Lsn.none ~block:(blk b)
+          ~txn:(txn t) ~mtr_id:!next ~mtr_end:true ~op
+      in
+      let model_add b k value t =
+        let prior = Option.value ~default:[] (Hashtbl.find_opt model (b, k)) in
+        Hashtbl.replace model (b, k)
+          ({ B.value; txn = txn t; lsn = lsn !next } :: prior)
+      in
+      let step op =
+        match op with
+        | Op_put (b, k, t) ->
+          incr next;
+          let value = string_of_int !next in
+          B.apply s (record b t (Log_record.Put { key = k; value }));
+          model_add b k (Some value) t
+        | Op_delete (b, k, t) ->
+          incr next;
+          B.apply s (record b t (Log_record.Delete { key = k }));
+          model_add b k None t
+        | Op_gc (f, mask) ->
+          let floor = lsn (max 0 (!next - f)) in
+          let is_committed x = mask land (1 lsl (Txn_id.to_int x - 1)) <> 0 in
+          let want = reference_gc model ~floor ~is_committed in
+          let got = B.gc s ~keep_at_or_above:floor ~is_committed in
+          if got <> want then
+            QCheck.Test.fail_reportf "gc returned %d, reference %d" got want
+        | Op_rollback f ->
+          let bound = lsn (max 0 (!next - f)) in
+          ignore (B.rollback_above s bound : int);
+          Hashtbl.filter_map_inplace
+            (fun _ vs ->
+              Some (List.filter (fun (v : B.version) -> Lsn.(v.lsn <= bound)) vs))
+            model
+        | Op_load (b, entries) ->
+          (* Distinct keys, as a block snapshot has. *)
+          let entries =
+            List.sort_uniq (fun (a, _) (c, _) -> String.compare a c) entries
+          in
+          let image =
+            List.map
+              (fun (k, chain) ->
+                let vs =
+                  List.map
+                    (fun (t, v) ->
+                      version (if v = 0 then None else Some (string_of_int v)) t)
+                    chain
+                in
+                (k, List.rev vs))
+              entries
+          in
+          B.load_snapshot s (blk b) image;
+          Hashtbl.filter_map_inplace
+            (fun (b', _) vs -> if b' = b then None else Some vs)
+            model;
+          List.iter (fun (k, vs) -> Hashtbl.replace model (b, k) vs) image
+      in
+      List.iter
+        (fun op ->
+          step op;
+          for b = 0 to 3 do
+            if B.checksum s (blk b) <> reference_checksum s (blk b) then
+              QCheck.Test.fail_reportf "block %d: stored checksum is stale after %s"
+                b (print_store_op op)
+          done;
+          let total = ref 0 and bytes = ref 0 in
+          Hashtbl.iter
+            (fun (b, k) vs ->
+              total := !total + List.length vs;
+              List.iter
+                (fun (v : B.version) ->
+                  bytes :=
+                    !bytes + String.length k
+                    + (match v.value with Some x -> String.length x | None -> 0)
+                    + 24)
+                vs;
+              if B.versions s (blk b) ~key:k <> vs then
+                QCheck.Test.fail_reportf "block %d key %s: chain differs after %s"
+                  b k (print_store_op op))
+            model;
+          if B.version_count s <> !total || B.bytes_used s <> !bytes then
+            QCheck.Test.fail_reportf "accounting differs after %s"
+              (print_store_op op))
+        ops;
+      true)
+
 (* ---- Disk ---- *)
 
 let test_disk_fifo () =
@@ -424,6 +635,9 @@ let () =
           Alcotest.test_case "gc keeps floor version" `Quick test_block_store_gc;
           Alcotest.test_case "rollback_above" `Quick test_block_store_rollback;
           Alcotest.test_case "checksum scrub" `Quick test_block_store_scrub;
+          Alcotest.test_case "corrupt fails verify until a write" `Quick
+            test_block_store_corrupt_until_write;
+          QCheck_alcotest.to_alcotest prop_block_store_matches_model;
         ] );
       ("disk", [ Alcotest.test_case "fifo queueing" `Quick test_disk_fifo ]);
       ( "segment",
