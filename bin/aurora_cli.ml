@@ -56,10 +56,10 @@ let exp_cmd =
 
 (* Shared smoke workload: an open-loop transaction mix against a default
    cluster, run to quiescence. *)
-let run_workload ?window_ms ~txns ~pgs ~seed ~tracing () =
+let run_workload ?window_ms ?recorder_depth ~txns ~pgs ~seed () =
   let open Simcore in
   let cluster =
-    Harness.Cluster.create
+    Harness.Cluster.create ?recorder_depth
       {
         Harness.Cluster.default_config with
         seed;
@@ -70,7 +70,6 @@ let run_workload ?window_ms ~txns ~pgs ~seed ~tracing () =
           | None -> Harness.Cluster.default_config.Harness.Cluster.obs_sample_period);
       }
   in
-  if tracing then Obs.Ctx.enable_tracing (Harness.Cluster.obs cluster);
   let sim = Harness.Cluster.sim cluster in
   let gen =
     Workload.Txn_gen.create ~sim ~rng:(Rng.create (seed + 1))
@@ -82,15 +81,18 @@ let run_workload ?window_ms ~txns ~pgs ~seed ~tracing () =
   Sim.run_until sim (Time_ns.add (Time_ns.us (txns * 500)) (Time_ns.sec 2));
   (cluster, gen)
 
+(* "N events on K nodes, ring depth D, E evicted" for a recorder snapshot. *)
+let recorder_summary (rings : Recorder.Rings.snapshot) =
+  let count f = List.fold_left (fun acc r -> acc + f r) 0 rings.nodes in
+  Printf.sprintf "%d events on %d nodes, ring depth %d, %d evicted"
+    (count (fun r -> List.length r.Recorder.Rings.events))
+    (List.length rings.nodes)
+    (match rings.nodes with r :: _ -> r.depth | [] -> 0)
+    (count (fun r -> r.evicted))
+
 let print_snapshot ~json cluster ~where ~trace_tail =
-  let open Simcore in
-  let obs = Harness.Cluster.obs cluster in
   let where = match where with [] -> None | w -> Some w in
-  let snap =
-    Obs.Ctx.snapshot_at
-      ~at:(Sim.now (Harness.Cluster.sim cluster))
-      ?where ?trace_tail obs
-  in
+  let snap = Harness.Cluster.snapshot ?where ?trace_tail cluster in
   if json then print_endline (Obs.Json.to_string ~pretty:true snap)
   else begin
     (match snap with
@@ -148,14 +150,11 @@ let print_snapshot ~json cluster ~where ~trace_tail =
     match trace_tail with
     | None -> ()
     | Some n ->
-      let tr = Obs.Ctx.trace obs in
-      Printf.printf
-        "-- trace (last %d of %d events; ring capacity %d, %d dropped) --\n"
-        (min n (Obs.Trace.length tr))
-        (Obs.Trace.length tr) (Obs.Trace.capacity tr) (Obs.Trace.dropped tr);
-      List.iter
-        (fun ev -> Format.printf "%a@." Obs.Trace.pp_event ev)
-        (Obs.Trace.tail tr n)
+      let rings = Recorder.Rings.snapshot (Harness.Cluster.recorder cluster) in
+      let tail = Recorder.Correlate.tail rings n in
+      Printf.printf "-- trace (last %d events; %s) --\n" (List.length tail)
+        (recorder_summary rings);
+      print_endline (Recorder.Correlate.render_text tail)
   end
 
 (* Time-series table: one row per retained sample (down-sampled to ~40
@@ -198,7 +197,7 @@ let print_series cluster =
 let run_smoke txns pgs seed json =
   let open Simcore in
   let module Database = Aurora_core.Database in
-  let cluster, gen = run_workload ~txns ~pgs ~seed ~tracing:false () in
+  let cluster, gen = run_workload ~txns ~pgs ~seed () in
   if json then print_snapshot ~json:true cluster ~where:[] ~trace_tail:None
   else begin
     let db = Harness.Cluster.db cluster in
@@ -236,7 +235,10 @@ let smoke_cmd =
     Term.(const run_smoke $ txns_arg $ pgs_arg $ seed_arg $ json_arg)
 
 let run_obs txns pgs seed json trace_tail pg az series window_ms =
-  let cluster, _gen = run_workload ?window_ms ~txns ~pgs ~seed ~tracing:true () in
+  let cluster, _gen =
+    run_workload ?window_ms ~recorder_depth:Recorder.Rings.default_depth ~txns
+      ~pgs ~seed ()
+  in
   let where =
     (match pg with Some p -> [ ("pg", string_of_int p) ] | None -> [])
     @ (match az with Some a -> [ ("az", a) ] | None -> [])
@@ -256,7 +258,8 @@ let obs_cmd =
   let trace_tail =
     Arg.(
       value & opt int 0
-      & info [ "trace-tail" ] ~docv:"N" ~doc:"Include the last N trace events.")
+      & info [ "trace-tail" ] ~docv:"N"
+          ~doc:"Include the last N flight-recorder events, merged across nodes.")
   in
   let pg =
     Arg.(
@@ -285,22 +288,26 @@ let obs_cmd =
   Cmd.v
     (Cmd.info "obs"
        ~doc:
-         "Run the smoke workload with commit-path tracing enabled and print \
-          the observability snapshot")
+         "Run the smoke workload with the flight recorder on and print the \
+          observability snapshot")
     Term.(
       const run_obs $ txns_arg $ pgs_arg $ seed_arg $ json_arg $ trace_tail
       $ pg $ az $ series $ window_arg)
 
 let run_trace_export txns pgs seed window_ms out =
-  let cluster, _gen = run_workload ?window_ms ~txns ~pgs ~seed ~tracing:true () in
-  let json = Obs.Chrome_export.to_string (Harness.Cluster.obs cluster) in
+  let cluster, _gen =
+    run_workload ?window_ms ~recorder_depth:Recorder.Rings.default_depth ~txns
+      ~pgs ~seed ()
+  in
+  let recorder = Harness.Cluster.recorder cluster in
+  let json =
+    Recorder.Chrome_export.to_string (Harness.Cluster.obs cluster) recorder
+  in
   let oc = open_out out in
   output_string oc json;
   close_out oc;
-  let tr = Obs.Ctx.trace (Harness.Cluster.obs cluster) in
-  Printf.printf "wrote %s (%d trace events, %d dropped; open in Perfetto or \
-                 chrome://tracing)\n"
-    out (Obs.Trace.length tr) (Obs.Trace.dropped tr)
+  Printf.printf "wrote %s (%s; open in Perfetto or chrome://tracing)\n" out
+    (recorder_summary (Recorder.Rings.snapshot recorder))
 
 let trace_export_cmd =
   let out =
@@ -312,8 +319,9 @@ let trace_export_cmd =
   Cmd.v
     (Cmd.info "trace-export"
        ~doc:
-         "Run the traced smoke workload and write the commit-path timeline \
-          plus trace events as Chrome trace-event JSON")
+         "Run the smoke workload with the flight recorder on and write the \
+          commit-path timelines plus lifecycle events (recovery, membership, \
+          health) as Chrome trace-event JSON")
     Term.(
       const run_trace_export $ txns_arg $ pgs_arg $ seed_arg $ window_arg $ out)
 

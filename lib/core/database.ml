@@ -69,6 +69,7 @@ type t = {
   config : config;
   metrics : metrics;
   obs : Obs.Ctx.t;
+  recorder : Recorder.Rings.t;
   (* commit-path tracing bookkeeping: per-group LSNs awaiting their first
      storage ack, and LSNs awaiting VDL coverage, both in submit order *)
   obs_unacked : Lsn.t Queue.t Pg_id.Tbl.t;
@@ -104,14 +105,17 @@ let sim t = t.sim
 let addr t = t.addr
 let obs t = t.obs
 
-let mark_stage t ~lsn ?member ?pg stage =
+let mark_stage t ~lsn ?pg stage =
   Obs.Commit_path.mark (Obs.Ctx.commit_path t.obs) ~at:(Sim.now t.sim)
-    ~lsn:(Lsn.to_int lsn) ?member ?pg stage
+    ~lsn:(Lsn.to_int lsn) ?pg stage
 
-(* Flight-recorder hook point; callers gate on [Recorder.Rings.enabled]
-   so a disabled recorder costs one flag read and no allocation. *)
+(* Flight-recorder hook point; callers gate on [recording] so a recorder
+   that is off costs one field read and no allocation. *)
+let recording t = Recorder.Rings.enabled t.recorder
+
 let rec_note t ev =
-  Recorder.Rings.note ~node:(Simnet.Addr.to_int t.addr) ~at:(Sim.now t.sim) ev
+  Recorder.Rings.note t.recorder ~node:(Simnet.Addr.to_int t.addr)
+    ~at:(Sim.now t.sim) ev
 let volume t = t.volume
 let config t = t.config
 let consistency t = t.consistency
@@ -152,11 +156,11 @@ let epochs_for t (g : Volume.pg) =
 let install_consistency_hooks t =
   let c = t.consistency in
   Consistency.on_record_durable c (fun _pg lsn ->
-      mark_stage t ~lsn Obs.Trace.Pgcl_advanced);
+      mark_stage t ~lsn Obs.Commit_path.Pgcl_advanced);
   Consistency.on_vcl_advance c (fun new_vcl ->
       (* Recorded before the commit queue drains so a commit ack's recorder
          event always follows the VCL advance that released it. *)
-      if Recorder.Rings.enabled () then
+      if recording t then
         rec_note t (Recorder.Event.Vcl_advance { vcl = Lsn.to_int new_vcl });
       (* Newly covered records are marked [Vcl_advanced] before the commit
          queue drains, so a commit ack always sees its record's VCL stage
@@ -168,19 +172,19 @@ let install_consistency_hooks t =
           ignore (Queue.pop t.inflight_records : Lsn.t * Time_ns.t);
           Histogram.record_span t.metrics.record_durable_latency at
             (Sim.now t.sim);
-          mark_stage t ~lsn Obs.Trace.Vcl_advanced
+          mark_stage t ~lsn Obs.Commit_path.Vcl_advanced
         | Some _ | None -> continue := false
       done;
       ignore (Commit_queue.drain t.commit_queue ~vcl:new_vcl : int));
   Consistency.on_vdl_advance c (fun new_vdl ->
-      if Recorder.Rings.enabled () then
+      if recording t then
         rec_note t (Recorder.Event.Vdl_advance { vdl = Lsn.to_int new_vdl });
       let continue = ref true in
       while !continue do
         match Queue.peek_opt t.obs_vdl_pending with
         | Some lsn when Lsn.(lsn <= new_vdl) ->
           ignore (Queue.pop t.obs_vdl_pending : Lsn.t);
-          mark_stage t ~lsn Obs.Trace.Vdl_advanced
+          mark_stage t ~lsn Obs.Commit_path.Vdl_advanced
         | Some _ | None -> continue := false
       done;
       (* Newly durable redo may unpin dirty blocks: apply cache pressure. *)
@@ -208,7 +212,7 @@ let boxcar_for t (g : Volume.pg) seg =
           if t.open_ then begin
             List.iter
               (fun (r : Log_record.t) ->
-                mark_stage t ~lsn:r.lsn Obs.Trace.Boxcar_flushed)
+                mark_stage t ~lsn:r.lsn Obs.Commit_path.Boxcar_flushed)
               records;
             match Member_id.Map.find_opt seg g.Volume.addr_of with
             | None -> ()
@@ -224,7 +228,7 @@ let boxcar_for t (g : Volume.pg) seg =
                    });
               List.iter
                 (fun (r : Log_record.t) ->
-                  mark_stage t ~lsn:r.lsn Obs.Trace.Net_sent)
+                  mark_stage t ~lsn:r.lsn Obs.Commit_path.Net_sent)
                 records
           end)
     in
@@ -242,7 +246,7 @@ let obs_unacked_queue t pg =
 let submit_record t (record : Log_record.t) (g : Volume.pg) =
   Consistency.note_submitted t.consistency ~pg:g.Volume.id ~lsn:record.lsn
     ~mtr_end:record.mtr_end;
-  mark_stage t ~lsn:record.lsn ~pg:(Pg_id.to_int g.Volume.id) Obs.Trace.Lsn_allocated;
+  mark_stage t ~lsn:record.lsn ~pg:(Pg_id.to_int g.Volume.id) Obs.Commit_path.Lsn_allocated;
   Queue.push record.lsn (obs_unacked_queue t g.Volume.id);
   Queue.push record.lsn t.obs_vdl_pending;
   Buffer_cache.apply t.cache record ~vdl:(vdl t);
@@ -358,8 +362,6 @@ let get t ?txn ~key callback =
   let from_storage () =
     t.metrics.storage_reads <- t.metrics.storage_reads + 1;
     let g = Volume.pg_of_block t.volume block in
-    Obs.Trace.read (Obs.Ctx.trace t.obs) ~at:(Sim.now t.sim)
-      ~pg:(Pg_id.to_int g.Volume.id) Obs.Trace.Read_tracked;
     let candidates = full_candidates t g ~as_of in
     track_view t as_of;
     Reader.read t.reader ~pg:g.Volume.id ~candidates ~block ~as_of
@@ -386,8 +388,6 @@ let get t ?txn ~key callback =
   match Buffer_cache.read t.cache block ~key with
   | Buffer_cache.Hit chain ->
     t.metrics.cache_hit_reads <- t.metrics.cache_hit_reads + 1;
-    Obs.Trace.read (Obs.Ctx.trace t.obs) ~at:(Sim.now t.sim) ~pg:(-1)
-      Obs.Trace.Read_cache_hit;
     callback (Ok (Read_view.value view ~commit_scn chain))
   | Buffer_cache.Partial chain -> (
     (* Blind-write block: only trust it if a visible version exists. *)
@@ -418,7 +418,7 @@ let commit t ~txn callback =
     let scn = record.lsn in
     Txn_table.mark_committed t.txns txn ~scn;
     t.metrics.txns_committed <- t.metrics.txns_committed + 1;
-    if Recorder.Rings.enabled () then
+    if recording t then
       rec_note t
         (Recorder.Event.Commit_submit
            { txn = Txn_id.to_int txn; scn = Lsn.to_int scn });
@@ -426,8 +426,8 @@ let commit t ~txn callback =
     Commit_queue.enqueue t.commit_queue ~txn ~scn ~on_ack:(fun () ->
         t.metrics.commit_acks <- t.metrics.commit_acks + 1;
         Histogram.record_span t.metrics.commit_latency started (Sim.now t.sim);
-        mark_stage t ~lsn:scn Obs.Trace.Commit_acked;
-        if Recorder.Rings.enabled () then
+        mark_stage t ~lsn:scn Obs.Commit_path.Commit_acked;
+        if recording t then
           rec_note t
             (Recorder.Event.Commit_ack
                { txn = Txn_id.to_int txn; scn = Lsn.to_int scn });
@@ -548,12 +548,17 @@ let after_membership_change t pg_id =
     (Volume.rule g).Quorum_set.Rule.write;
   broadcast_membership t pg_id
 
-let trace_membership t pg_id phase =
-  let g = Volume.find_pg t.volume pg_id in
-  Obs.Trace.membership (Obs.Ctx.trace t.obs) ~at:(Sim.now t.sim)
-    ~pg:(Pg_id.to_int pg_id)
-    ~epoch:(Epoch.to_int (Membership.epoch g.Volume.membership))
-    phase
+let note_membership t pg_id phase =
+  if recording t then begin
+    let g = Volume.find_pg t.volume pg_id in
+    rec_note t
+      (Recorder.Event.Membership_change
+         {
+           pg = Pg_id.to_int pg_id;
+           epoch = Epoch.to_int (Membership.epoch g.Volume.membership);
+           phase;
+         })
+  end
 
 let begin_segment_replacement t pg_id ~suspect ~replacement ~replacement_addr =
   match
@@ -562,7 +567,7 @@ let begin_segment_replacement t pg_id ~suspect ~replacement ~replacement_addr =
   with
   | Error _ as e -> e
   | Ok () ->
-    trace_membership t pg_id Obs.Trace.Change_begun;
+    note_membership t pg_id Recorder.Event.Change_begun;
     after_membership_change t pg_id;
     Ok ()
 
@@ -570,7 +575,7 @@ let commit_segment_replacement t pg_id ~suspect =
   match Volume.commit_membership_change t.volume pg_id ~suspect with
   | Error _ as e -> e
   | Ok () ->
-    trace_membership t pg_id Obs.Trace.Change_committed;
+    note_membership t pg_id Recorder.Event.Change_committed;
     after_membership_change t pg_id;
     Ok ()
 
@@ -578,7 +583,7 @@ let revert_segment_replacement t pg_id ~suspect =
   match Volume.revert_membership_change t.volume pg_id ~suspect with
   | Error _ as e -> e
   | Ok () ->
-    trace_membership t pg_id Obs.Trace.Change_reverted;
+    note_membership t pg_id Recorder.Event.Change_reverted;
     after_membership_change t pg_id;
     Ok ()
 
@@ -598,13 +603,12 @@ let handle_message t (env : Protocol.t Simnet.Net.envelope) =
       (match Pg_id.Tbl.find_opt t.obs_unacked pg with
       | None -> ()
       | Some q ->
-        let member = Member_id.to_int seg in
         let continue = ref true in
         while !continue do
           match Queue.peek_opt q with
           | Some lsn when Lsn.(lsn <= scl) ->
             ignore (Queue.pop q : Lsn.t);
-            mark_stage t ~lsn ~member ~pg:(Pg_id.to_int pg) Obs.Trace.Node_acked
+            mark_stage t ~lsn ~pg:(Pg_id.to_int pg) Obs.Commit_path.Node_acked
           | Some _ | None -> continue := false
         done);
       Consistency.note_ack t.consistency ~pg ~seg ~scl
@@ -615,7 +619,7 @@ let handle_message t (env : Protocol.t Simnet.Net.envelope) =
         (* A newer writer fenced us out: stop serving immediately. *)
         t.metrics.fenced <- t.metrics.fenced + 1;
         t.open_ <- false;
-        if Recorder.Rings.enabled () then
+        if recording t then
           rec_note t (Recorder.Event.Fenced { epoch = Epoch.to_int current })
       | Protocol.Stale_membership_epoch _ | Protocol.Not_a_member -> ())
     | Protocol.Read_reply { req; seg; result } ->
@@ -677,8 +681,11 @@ let register_instruments t =
         (fun () -> Lsn.to_int (Consistency.pgcl t.consistency pg)))
     (Volume.pgs t.volume)
 
-let create ~sim ~rng ~net ~addr ~volume ~config ?obs () =
+let create ~sim ~rng ~net ~addr ~volume ~config ?obs ?recorder () =
   let obs = match obs with Some o -> o | None -> Obs.Ctx.create () in
+  let recorder =
+    match recorder with Some r -> r | None -> Recorder.Rings.create ()
+  in
   let t =
     {
       sim;
@@ -689,6 +696,7 @@ let create ~sim ~rng ~net ~addr ~volume ~config ?obs () =
       config;
       metrics = fresh_metrics ();
       obs;
+      recorder;
       obs_unacked = Pg_id.Tbl.create 8;
       obs_vdl_pending = Queue.create ();
       consistency = Consistency.create ();
@@ -723,12 +731,12 @@ let start t =
   t.generation <- t.generation + 1;
   Simnet.Net.register t.net t.addr (handle_message t);
   Simnet.Net.set_up t.net t.addr;
-  if Recorder.Rings.enabled () then rec_note t Recorder.Event.Started;
+  if recording t then rec_note t Recorder.Event.Started;
   List.iter (fun pg -> broadcast_membership t pg.Volume.id) (Volume.pgs t.volume);
   start_background t
 
 let crash t =
-  if Recorder.Rings.enabled () then rec_note t Recorder.Event.Crashed;
+  if recording t then rec_note t Recorder.Event.Crashed;
   t.open_ <- false;
   t.generation <- t.generation + 1;
   Simnet.Net.set_down t.net t.addr;
@@ -780,20 +788,19 @@ let recover t on_ready =
   t.generation <- t.generation + 1;
   Simnet.Net.register t.net t.addr (handle_message t);
   Simnet.Net.set_up t.net t.addr;
-  if Recorder.Rings.enabled () then
+  if recording t then
     rec_note t
       (Recorder.Event.Recovery_start
          { epoch = Epoch.to_int (Volume.volume_epoch t.volume) });
   let r =
     Recovery.start ~sim:t.sim ~net:t.net ~my_addr:t.addr ~volume:t.volume
-      ~obs:t.obs
       ~on_done:(fun result ->
         (match result with
         | Ok outcome ->
           rebuild_from_outcome t outcome;
           t.open_ <- true;
           t.generation <- t.generation + 1;
-          if Recorder.Rings.enabled () then begin
+          if recording t then begin
             rec_note t
               (Recorder.Event.Recovery_finish
                  {

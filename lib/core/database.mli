@@ -57,12 +57,16 @@ val create :
   volume:Volume.t ->
   config:config ->
   ?obs:Obs.Ctx.t ->
+  ?recorder:Recorder.Rings.t ->
   unit ->
   t
 (** [obs] wires the instance into a shared observability context: the
     [db_*] instruments are registered and every submitted record is traced
-    through the commit-path stages.  A private context is created when
-    omitted, so standalone instances stay self-contained. *)
+    through the commit-path stages.  [recorder] is the cluster's flight
+    recorder: commit submit/ack, VCL/VDL advances, lifecycle, recovery and
+    membership-phase events land on this instance's ring.  A private
+    context (and a recorder that is off) is created when omitted, so
+    standalone instances stay self-contained. *)
 
 val start : t -> unit
 (** Register on the network and begin serving (a fresh, empty volume). *)

@@ -45,17 +45,13 @@ type t = {
   pendings : (int, pending) Hashtbl.t;
   mutable next_req : int;
   metrics : metrics;
-  obs : Obs.Ctx.t option;
-  obs_labels : Obs.Registry.labels;
 }
 
-let register_instruments t =
-  match t.obs with
+let register_instruments ~obs ~labels (m : metrics) =
+  match obs with
   | None -> ()
   | Some obs ->
     let reg = Obs.Ctx.registry obs in
-    let labels = t.obs_labels in
-    let m = t.metrics in
     Obs.Registry.counter_fn reg ~labels "read_reads" (fun () -> m.reads);
     Obs.Registry.counter_fn reg ~labels "read_ios_issued" (fun () -> m.ios_issued);
     Obs.Registry.counter_fn reg ~labels "read_hedges" (fun () -> m.hedges);
@@ -85,11 +81,9 @@ let create ~sim ~rng ~net ~my_addr ~strategy ?obs ?(obs_labels = []) () =
           failures = 0;
           latency = Histogram.create ();
         };
-      obs;
-      obs_labels;
     }
   in
-  register_instruments t;
+  register_instruments ~obs ~labels:obs_labels t.metrics;
   t
 
 let observed_latency t addr =
@@ -155,14 +149,7 @@ let arm_hedge t p delay =
   ignore
     (Sim.schedule t.sim ~delay (fun () ->
          if (not p.done_) && Hashtbl.mem t.pendings p.req then
-           if issue_next t p then begin
-             t.metrics.hedges <- t.metrics.hedges + 1;
-             match t.obs with
-             | Some obs ->
-               Obs.Trace.read (Obs.Ctx.trace obs) ~at:(Sim.now t.sim)
-                 ~pg:(Storage.Pg_id.to_int p.pg) Obs.Trace.Read_hedged
-             | None -> ()
-           end))
+           if issue_next t p then t.metrics.hedges <- t.metrics.hedges + 1))
 
 let read t ~pg ~candidates ~block ~as_of ~epochs ~callback =
   t.metrics.reads <- t.metrics.reads + 1;

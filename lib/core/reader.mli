@@ -49,8 +49,8 @@ val create :
   ?obs_labels:Obs.Registry.labels ->
   unit ->
   t
-(** [obs] registers the [read_*] counters and latency histogram, and traces
-    hedged-read events.  [obs_labels] distinguishes readers sharing one
+(** [obs] registers the [read_*] counters (hedges included) and latency
+    histogram.  [obs_labels] distinguishes readers sharing one
     registry (e.g. [("node", ...)] on a replica's reader, so it does not
     supersede the writer's).  A reader rebuilt after crash recovery
     re-registers under the same identity, superseding the dead instance's

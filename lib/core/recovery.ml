@@ -44,7 +44,6 @@ type t = {
   net : Protocol.t Simnet.Net.t;
   my_addr : Simnet.Addr.t;
   volume : Volume.t;
-  obs : Obs.Ctx.t option;
   on_done : (outcome, string) result -> unit;
   started_at : Time_ns.t;
   probes : pg_probe Pg_id.Tbl.t;
@@ -57,14 +56,6 @@ type t = {
 }
 
 let is_done t = t.phase = Finished
-
-let trace_phase t phase =
-  match t.obs with
-  | None -> ()
-  | Some obs ->
-    Obs.Trace.recovery (Obs.Ctx.trace obs) ~at:(Sim.now t.sim)
-      ~epoch:(Epoch.to_int (Volume.volume_epoch t.volume))
-      phase
 
 let recovered_point ~scls =
   List.fold_left (fun acc (_, scl) -> Lsn.max acc scl) Lsn.none scls
@@ -362,7 +353,6 @@ let finish t =
   in
   t.phase <- Finished;
   t.result <- Some outcome;
-  trace_phase t Obs.Trace.Recovery_finished;
   t.on_done (Ok outcome)
 
 let step t =
@@ -415,7 +405,7 @@ let on_message t msg ~from:_ =
     | _ -> ()
 
 let start ~sim ~net ~my_addr ~volume ?(retry_interval = Time_ns.ms 50)
-    ?(deadline = Time_ns.sec 30) ?obs ~on_done () =
+    ?(deadline = Time_ns.sec 30) ~on_done () =
   ignore (Volume.bump_volume_epoch volume : Epoch.t);
   let t =
     {
@@ -423,7 +413,6 @@ let start ~sim ~net ~my_addr ~volume ?(retry_interval = Time_ns.ms 50)
       net;
       my_addr;
       volume;
-      obs;
       on_done;
       started_at = Sim.now sim;
       probes = Pg_id.Tbl.create 8;
@@ -446,7 +435,6 @@ let start ~sim ~net ~my_addr ~volume ?(retry_interval = Time_ns.ms 50)
           truncate_acks = Member_id.Set.empty;
         })
     (Volume.pgs volume);
-  trace_phase t Obs.Trace.Recovery_started;
   send_probes t;
   (* Retry loop: re-send whatever the current phase is still missing. *)
   Sim.every sim ~interval:retry_interval (fun () ->
@@ -454,7 +442,6 @@ let start ~sim ~net ~my_addr ~volume ?(retry_interval = Time_ns.ms 50)
       else if Time_ns.compare (Time_ns.diff (Sim.now sim) t.started_at) deadline > 0
       then begin
         t.phase <- Finished;
-        trace_phase t Obs.Trace.Recovery_finished;
         t.on_done (Error "recovery timed out waiting for storage quorums");
         false
       end

@@ -62,14 +62,13 @@ val start :
   volume:Volume.t ->
   ?retry_interval:Simcore.Time_ns.t ->
   ?deadline:Simcore.Time_ns.t ->
-  ?obs:Obs.Ctx.t ->
   on_done:((outcome, string) result -> unit) ->
   unit ->
   t
 (** Bumps the volume epoch on [volume] and begins probing.  [deadline]
-    (default 30 s simulated) bounds the whole procedure.  [obs] traces
-    [Recovery_started]/[Recovery_finished] events tagged with the new
-    volume epoch. *)
+    (default 30 s simulated) bounds the whole procedure.  The caller
+    ([Database.recover]) records the start and finish in its flight
+    recorder. *)
 
 val on_message : t -> Storage.Protocol.t -> from:Simnet.Addr.t -> unit
 (** Feed Scl_reply / Hydrate_reply / Truncate_ack messages addressed to

@@ -49,6 +49,7 @@ type t = {
   s3 : Storage.S3.t;
   db : Database.t;
   obs : Obs.Ctx.t;
+  recorder : Recorder.Rings.t;
   pg_nodes : pg_nodes Pg_id.Tbl.t;
   az_of : Az.t Simnet.Addr.Tbl.t;
   addr_alloc : Simnet.Addr.Allocator.t;
@@ -63,6 +64,7 @@ let s3 t = t.s3
 let config t = t.cfg
 let rng t = t.rng
 let obs t = t.obs
+let recorder t = t.recorder
 
 let layout_members = function
   | V6 -> Layout.aurora_v6 ()
@@ -75,22 +77,21 @@ let layout_scheme = function
   | V3 -> Layout.scheme_2_of_3
 
 let make_storage_node_raw ~sim ~rng ~net ~s3 ~storage_config ~addr_alloc
-    ~az_of ~obs ~az =
+    ~az_of ~obs ~recorder ~az =
   let addr = Simnet.Addr.Allocator.take addr_alloc in
   Simnet.Addr.Tbl.replace az_of addr az;
-  if Recorder.Rings.enabled () then
-    Recorder.Rings.register
-      ~node:(Simnet.Addr.to_int addr)
-      ~role:Recorder.Event.Storage;
+  Recorder.Rings.register recorder
+    ~node:(Simnet.Addr.to_int addr)
+    ~role:Recorder.Event.Storage;
   Storage.Storage_node.create ~sim ~rng:(Rng.split rng) ~net ~addr ~s3
     ~config:storage_config ~obs
     ~obs_labels:[ ("az", Printf.sprintf "az%d" (Az.to_int az + 1)) ]
-    ()
+    ~recorder ()
 
 let make_storage_node t ~az =
   make_storage_node_raw ~sim:t.sim ~rng:t.rng ~net:t.net ~s3:t.s3
     ~storage_config:t.cfg.storage_config ~addr_alloc:t.addr_alloc
-    ~az_of:t.az_of ~obs:t.obs ~az
+    ~az_of:t.az_of ~obs:t.obs ~recorder:t.recorder ~az
 
 (* ---- cluster health probe (feeds Obs.Health each sampler tick) ---- *)
 
@@ -248,15 +249,25 @@ let install_observability t =
       let at = Sim.now t.sim in
       let s = health_sample t ~at in
       t.last_health <- Some s;
-      Obs.Health.observe health ~at s;
+      (* Health edges are volume-level: they land on the writer's ring. *)
+      List.iter
+        (fun (pg, edge) ->
+          if Recorder.Rings.enabled t.recorder then
+            Recorder.Rings.note t.recorder
+              ~node:(Simnet.Addr.to_int (Database.addr t.db))
+              ~at
+              (Recorder.Event.Health_edge { pg; edge }))
+        (Obs.Health.observe health ~at s);
       Obs.Series.sample series ~at;
       true)
 
-let create cfg =
+let create ?recorder_depth cfg =
   let sim = Sim.create () in
   let rng = Rng.create cfg.seed in
   let az_of = Simnet.Addr.Tbl.create 64 in
   let obs = Obs.Ctx.create () in
+  let recorder = Recorder.Rings.create () in
+  Option.iter (fun depth -> Recorder.Rings.enable recorder ~depth) recorder_depth;
   let net =
     Simnet.Net.create ~sim ~rng:(Rng.split rng)
       ~default_latency:cfg.inter_az_latency ~obs ()
@@ -270,20 +281,19 @@ let create cfg =
   (* Writer lives in AZ1 (index 0). *)
   let db_addr = Simnet.Addr.Allocator.take addr_alloc in
   Simnet.Addr.Tbl.replace az_of db_addr (Az.of_int 0);
-  if Recorder.Rings.enabled () then
-    Recorder.Rings.register
-      ~node:(Simnet.Addr.to_int db_addr)
-      ~role:Recorder.Event.Writer;
+  Recorder.Rings.register recorder
+    ~node:(Simnet.Addr.to_int db_addr)
+    ~role:Recorder.Event.Writer;
   (* Flight-recorder network hook: translate wire messages into per-node
-     send/receive/drop events.  Installed unconditionally — it checks the
-     recorder's enable flag itself, so a disabled recorder costs one
+     send/receive/drop events.  Installed unconditionally — it checks
+     whether the recorder is on itself, so one that is off costs one
      closure call per message phase.  Drops land on the *source* ring
      with their cause: that is how [explain] can say why a send never
      arrived. *)
   Simnet.Net.set_recorder net
     (Some
        (fun phase ~src ~dst msg ->
-         if Recorder.Rings.enabled () then begin
+         if Recorder.Rings.enabled recorder then begin
            let at = Sim.now sim in
            let info = Protocol.describe msg in
            let kind = info.Protocol.kind
@@ -292,11 +302,11 @@ let create cfg =
            and lsn_hi = info.Protocol.lsn_hi in
            match phase with
            | Simnet.Net.Sent ->
-             Recorder.Rings.note ~node:(Simnet.Addr.to_int src) ~at
+             Recorder.Rings.note recorder ~node:(Simnet.Addr.to_int src) ~at
                (Recorder.Event.Send
                   { kind; peer = Simnet.Addr.to_int dst; pg; lsn_lo; lsn_hi })
            | Simnet.Net.Delivered ->
-             Recorder.Rings.note ~node:(Simnet.Addr.to_int dst) ~at
+             Recorder.Rings.note recorder ~node:(Simnet.Addr.to_int dst) ~at
                (Recorder.Event.Receive
                   { kind; peer = Simnet.Addr.to_int src; pg; lsn_lo; lsn_hi })
            | Simnet.Net.Dropped cause ->
@@ -307,7 +317,7 @@ let create cfg =
                | Simnet.Net.Partitioned -> Recorder.Event.Partitioned
                | Simnet.Net.Random -> Recorder.Event.Random
              in
-             Recorder.Rings.note ~node:(Simnet.Addr.to_int src) ~at
+             Recorder.Rings.note recorder ~node:(Simnet.Addr.to_int src) ~at
                (Recorder.Event.Drop
                   {
                     kind;
@@ -336,7 +346,7 @@ let create cfg =
               let node =
                 make_storage_node_raw ~sim ~rng ~net ~s3
                   ~storage_config:cfg.storage_config ~addr_alloc ~az_of ~obs
-                  ~az:m.az
+                  ~recorder ~az:m.az
               in
               let seg =
                 Storage.Segment.create ~pg:pg_id ~seg:m.id ~kind:m.kind
@@ -360,11 +370,11 @@ let create cfg =
   let volume = Volume.create volume_groups in
   let db =
     Database.create ~sim ~rng:(Rng.split rng) ~net ~addr:db_addr ~volume
-      ~config:cfg.db_config ~obs ()
+      ~config:cfg.db_config ~obs ~recorder ()
   in
   Database.start db;
   let t =
-    { cfg; sim; rng; net; s3; db; obs; pg_nodes; az_of; addr_alloc;
+    { cfg; sim; rng; net; s3; db; obs; recorder; pg_nodes; az_of; addr_alloc;
       replica_list = []; last_health = None }
   in
   install_observability t;
@@ -397,10 +407,9 @@ let add_replica t =
   let addr = Simnet.Addr.Allocator.take t.addr_alloc in
   (* Replicas live in AZ2 by default: failover survives the writer's AZ. *)
   Simnet.Addr.Tbl.replace t.az_of addr (Az.of_int 1);
-  if Recorder.Rings.enabled () then
-    Recorder.Rings.register
-      ~node:(Simnet.Addr.to_int addr)
-      ~role:Recorder.Event.Replica;
+  Recorder.Rings.register t.recorder
+    ~node:(Simnet.Addr.to_int addr)
+    ~role:Recorder.Event.Replica;
   let replica =
     Replica.create ~sim:t.sim ~rng:(Rng.split t.rng) ~net:t.net ~addr
       ~volume:(Database.volume t.db) ~writer:(Database.addr t.db)
@@ -687,5 +696,28 @@ let change_scheme_3_of_4 t pg ~drop_az =
     end)
 
 let last_health t = t.last_health
+
+let snapshot ?where ?trace_tail t =
+  let snap = Obs.Ctx.snapshot_at ~at:(Sim.now t.sim) ?where t.obs in
+  match (trace_tail, snap) with
+  | Some n, Obs.Json.Obj fields ->
+    let rings = Recorder.Rings.snapshot t.recorder in
+    let depth =
+      match rings.nodes with r :: _ -> r.Recorder.Rings.depth | [] -> 0
+    in
+    let evicted =
+      List.fold_left
+        (fun acc (r : Recorder.Rings.node_ring) -> acc + r.evicted)
+        0 rings.nodes
+    in
+    Obs.Json.Obj
+      (fields
+      @ [
+          ("trace", Recorder.Correlate.to_json (Recorder.Correlate.tail rings n));
+          ("trace_depth", Obs.Json.Int depth);
+          ("trace_evicted", Obs.Json.Int evicted);
+        ])
+  | _ -> snap
+
 let run_for t span = Sim.run_until t.sim (Time_ns.add (Sim.now t.sim) span)
 let run_until_quiesced t = Sim.run t.sim

@@ -35,8 +35,11 @@ val default_config : config
 
 type t
 
-val create : config -> t
-(** Build and start everything; the writer is open for transactions. *)
+val create : ?recorder_depth:int -> config -> t
+(** Build and start everything; the writer is open for transactions.
+    [recorder_depth] switches the cluster's flight recorder on from the
+    first event, with rings of that many events per node (see
+    {!Recorder.Rings.enable}); omitted, the recorder is off. *)
 
 val sim : t -> Simcore.Sim.t
 val net : t -> Storage.Protocol.t Simnet.Net.t
@@ -45,8 +48,22 @@ val s3 : t -> Storage.S3.t
 val config : t -> config
 val rng : t -> Simcore.Rng.t
 
+val recorder : t -> Recorder.Rings.t
+(** The cluster's flight recorder: one ring per node, shared by the
+    network hook, the writer and every storage node, with node roles
+    (writer, storage, replica) registered as the nodes are built.  Off
+    unless [create] got [recorder_depth] or {!Recorder.Rings.enable} is
+    called on it later; health edges land on the writer's ring. *)
+
+val snapshot : ?where:Obs.Registry.labels -> ?trace_tail:int -> t -> Obs.Json.t
+(** {!Obs.Ctx.snapshot_at} stamped with the current sim time, plus — iff
+    [trace_tail] is given — ["trace"] (the last [trace_tail] recorder
+    events merged across nodes, see {!Recorder.Correlate.tail}),
+    ["trace_depth"] (ring depth per node) and ["trace_evicted"] (events
+    the rings evicted, so a truncated timeline is visible). *)
+
 val obs : t -> Obs.Ctx.t
-(** The cluster-wide observability context: one registry + trace shared by
+(** The cluster-wide observability context: one registry shared by
     the network, the writer, every storage node, and every replica.  The
     cluster also drives the context's series sampler and health monitor
     (period [obs_sample_period]) and registers volume-level health gauges:

@@ -6,7 +6,6 @@ type config = {
       (* Qualified names of hot entry points; allocation reachable from any
          of them (through repo code) is a finding. *)
   sim_scope : string -> bool;  (* logical source path is sim-scoped *)
-  sim_allow : string list;  (* path prefixes exempt from the purity rule *)
   describe_checks : (string * string) list;  (* (type, total function) *)
   emit_checks : (string * string) list;  (* (type, defining-dir prefix) *)
   poly_types : string list;  (* protocol types: no polymorphic compare *)
@@ -39,12 +38,12 @@ let default =
         "Aurora_core.Buffer_cache.evict_pressure";
       ];
     sim_scope = (fun src -> has_prefix ~prefix:"lib/" src);
-    sim_allow = [ "lib/simcore/reset.ml" ];
     describe_checks = [ ("Storage.Protocol.t", "Storage.Protocol.describe") ];
     emit_checks =
       [
         ("Recorder.Event.t", "lib/recorder");
         ("Recorder.Event.msg_kind", "lib/recorder");
+        ("Recorder.Event.membership_phase", "lib/recorder");
       ];
     poly_types =
       [
@@ -64,8 +63,7 @@ let catalogue =
       "no allocation reachable from a hot entry point ([@alloc_ok] to \
        exempt)" );
     ( "typed-sim-global",
-      "top-level mutable state needs a Simcore.Reset.register hook or \
-       [@@sim_global]" );
+      "no top-level mutable state in lib/ unless annotated [@@sim_global]" );
     ( "typed-describe-coverage",
       "every Storage.Protocol constructor handled in Protocol.describe" );
     ( "typed-event-emit",
@@ -145,57 +143,26 @@ let hot_alloc cfg units =
 (* ---------------- sim-state purity ---------------- *)
 
 let sim_global cfg units =
-  let findings = ref [] in
-  List.iter
+  List.concat_map
     (fun u ->
-      if
-        cfg.sim_scope u.u_source
-        && not
-             (List.exists
-                (fun p -> has_prefix ~prefix:p u.u_source)
-                cfg.sim_allow)
-      then begin
-        (* Names mentioned by reset hooks in this unit, extended one level
-           through local functions the hooks call. *)
-        let hook_refs = Hashtbl.create 16 in
-        List.iter
-          (fun b ->
-            if
-              List.exists
-                (fun r -> String.equal r.r_name "Simcore.Reset.register")
-                b.b_refs
-            then
-              List.iter
-                (fun r -> Hashtbl.replace hook_refs r.r_name ())
-                b.b_refs)
-          u.u_bindings;
-        List.iter
-          (fun b ->
-            if b.b_is_function && Hashtbl.mem hook_refs b.b_name then
-              List.iter
-                (fun r -> Hashtbl.replace hook_refs r.r_name ())
-                b.b_refs)
-          u.u_bindings;
-        List.iter
+      if not (cfg.sim_scope u.u_source) then []
+      else
+        List.filter_map
           (fun b ->
             match b.b_mutable_evidence with
             | Some (line, col, desc)
               when (not b.b_is_function) && not b.b_sim_global ->
-              if not (Hashtbl.mem hook_refs b.b_name) then
-                findings :=
-                  Finding.make ~rule:"typed-sim-global" ~file:u.u_source
-                    ~line ~col
-                    (Printf.sprintf
-                       "top-level mutable state %s (%s) must be covered by \
-                        a Simcore.Reset.register hook in this module or \
-                        annotated [@@sim_global]"
-                       b.b_name desc)
-                  :: !findings
-            | _ -> ())
-          u.u_bindings
-      end)
-    units;
-  !findings
+              Some
+                (Finding.make ~rule:"typed-sim-global" ~file:u.u_source ~line
+                   ~col
+                   (Printf.sprintf
+                      "top-level mutable state %s (%s): keep it in a value \
+                       the caller owns, or annotate [@@sim_global] with the \
+                       reason"
+                      b.b_name desc))
+            | _ -> None)
+          u.u_bindings)
+    units
 
 (* ---------------- protocol describe coverage ---------------- *)
 

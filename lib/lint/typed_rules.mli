@@ -6,10 +6,9 @@
       hatch: [@alloc_ok "reason"] on the expression (or [@@alloc_ok] on
       the binding).  A manifest entry that no longer resolves is itself a
       finding, so the manifest cannot rot silently.
-    - [typed-sim-global] — top-level mutable state in sim-scoped modules
-      must be mentioned by a [Simcore.Reset.register] hook in the same
-      module (directly, or through one level of local helper) or carry
-      [@@sim_global].
+    - [typed-sim-global] — no top-level mutable state in sim-scoped
+      modules unless the binding carries [@@sim_global] (with a comment
+      giving the reason).
     - [typed-describe-coverage] — every constructor of each type in
       {!config.describe_checks} must be matched by the paired function.
     - [typed-event-emit] — every constructor of each type in
@@ -21,7 +20,6 @@
 type config = {
   hot_roots : string list;
   sim_scope : string -> bool;
-  sim_allow : string list;
   describe_checks : (string * string) list;
   emit_checks : (string * string) list;
   poly_types : string list;

@@ -1,8 +1,49 @@
-let n = Trace.n_stages
+type stage =
+  | Lsn_allocated
+  | Boxcar_flushed
+  | Net_sent
+  | Node_acked
+  | Pgcl_advanced
+  | Vcl_advanced
+  | Vdl_advanced
+  | Commit_acked
+
+let n_stages = 8
+let n = n_stages
+
+let stage_index = function
+  | Lsn_allocated -> 0
+  | Boxcar_flushed -> 1
+  | Net_sent -> 2
+  | Node_acked -> 3
+  | Pgcl_advanced -> 4
+  | Vcl_advanced -> 5
+  | Vdl_advanced -> 6
+  | Commit_acked -> 7
+
+let stage_of_index = function
+  | 0 -> Lsn_allocated
+  | 1 -> Boxcar_flushed
+  | 2 -> Net_sent
+  | 3 -> Node_acked
+  | 4 -> Pgcl_advanced
+  | 5 -> Vcl_advanced
+  | 6 -> Vdl_advanced
+  | 7 -> Commit_acked
+  | i -> invalid_arg (Printf.sprintf "Obs.Commit_path.stage_of_index: %d" i)
+
+let stage_name = function
+  | Lsn_allocated -> "lsn_allocated"
+  | Boxcar_flushed -> "boxcar_flushed"
+  | Net_sent -> "net_sent"
+  | Node_acked -> "node_acked"
+  | Pgcl_advanced -> "pgcl_advanced"
+  | Vcl_advanced -> "vcl_advanced"
+  | Vdl_advanced -> "vdl_advanced"
+  | Commit_acked -> "commit_acked"
 
 type t = {
   registry : Registry.t;
-  trace : Trace.t;
   capacity : int;
   (* lsn -> (owning pg, per-stage time); -1 = unknown / unset *)
   timelines : (int, int ref * int array) Hashtbl.t;
@@ -10,25 +51,24 @@ type t = {
   hists : Simcore.Histogram.t option array; (* (from * n + to) -> histogram *)
 }
 
-let create ?(capacity = 16384) ~registry ~trace () =
+let create ?(capacity = 16384) ~registry () =
   if capacity <= 0 then invalid_arg "Obs.Commit_path.create: capacity";
   {
     registry;
-    trace;
     capacity;
     timelines = Hashtbl.create 1024;
     order = Queue.create ();
     hists = Array.make (n * n) None;
   }
 
-let stage_label a b = Trace.stage_name a ^ "\xe2\x86\x92" ^ Trace.stage_name b
+let stage_label a b = stage_name a ^ "\xe2\x86\x92" ^ stage_name b
 
 let hist_for t ~from ~upto =
   let idx = (from * n) + upto in
   match t.hists.(idx) with
   | Some h -> h
   | None ->
-    let label = stage_label (Trace.stage_of_index from) (Trace.stage_of_index upto) in
+    let label = stage_label (stage_of_index from) (stage_of_index upto) in
     let h =
       Registry.histogram t.registry ~labels:[ ("stage", label) ] "commit_stage_ns"
     in
@@ -42,8 +82,8 @@ let record_pair t ~from ~upto span =
    were observed in between. *)
 let marquee =
   [
-    (Trace.stage_index Trace.Boxcar_flushed, Trace.stage_index Trace.Node_acked);
-    (Trace.stage_index Trace.Vcl_advanced, Trace.stage_index Trace.Commit_acked);
+    (stage_index Boxcar_flushed, stage_index Node_acked);
+    (stage_index Vcl_advanced, stage_index Commit_acked);
   ]
 
 let evict_beyond_capacity t =
@@ -53,9 +93,8 @@ let evict_beyond_capacity t =
     | Some lsn -> Hashtbl.remove t.timelines lsn
   done
 
-let mark t ~at ~lsn ?(member = -1) ?(pg = -1) stage =
-  Trace.commit_stage t.trace ~at ~lsn ~member ~pg stage;
-  let idx = Trace.stage_index stage in
+let mark t ~at ~lsn ?(pg = -1) stage =
+  let idx = stage_index stage in
   match Hashtbl.find_opt t.timelines lsn with
   | None ->
     if idx = 0 then begin

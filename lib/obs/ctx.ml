@@ -1,29 +1,25 @@
 type t = {
   registry : Registry.t;
-  trace : Trace.t;
   commit_path : Commit_path.t;
   series : Series.t;
   health : Health.t;
 }
 
-let create ?(trace_capacity = 8192) ?(commit_capacity = 16384)
-    ?(series_capacity = 512) () =
+let create () =
   let registry = Registry.create () in
-  let trace = Trace.create ~capacity:trace_capacity () in
-  let commit_path = Commit_path.create ~capacity:commit_capacity ~registry ~trace () in
-  let series = Series.create ~capacity:series_capacity ~registry () in
-  let health = Health.create ~trace () in
-  { registry; trace; commit_path; series; health }
+  {
+    registry;
+    commit_path = Commit_path.create ~registry ();
+    series = Series.create ~registry ();
+    health = Health.create ();
+  }
 
 let registry t = t.registry
-let trace t = t.trace
 let commit_path t = t.commit_path
 let series t = t.series
 let health t = t.health
-let enable_tracing t = Trace.enable t.trace
-let disable_tracing t = Trace.disable t.trace
 
-let snapshot_at ~at ?where ?trace_tail t =
+let snapshot_at ~at ?where t =
   let base =
     [
       ("at_ns", Json.Int at);
@@ -39,17 +35,6 @@ let snapshot_at ~at ?where ?trace_tail t =
     | None -> []
     | Some _ -> [ ("health", Health.to_json t.health) ]
   in
-  let trace_field =
-    match trace_tail with
-    | None -> []
-    | Some tl ->
-      [
-        ("trace", Json.List (List.map Trace.event_to_json (Trace.tail t.trace tl)));
-        ("trace_capacity", Json.Int (Trace.capacity t.trace));
-        ("trace_dropped", Json.Int (Trace.dropped t.trace));
-      ]
-  in
-  Json.Obj (base @ series_field @ health_field @ trace_field)
+  Json.Obj (base @ series_field @ health_field)
 
-let snapshot ?where ?trace_tail t =
-  snapshot_at ~at:Simcore.Time_ns.zero ?where ?trace_tail t
+let snapshot ?where t = snapshot_at ~at:Simcore.Time_ns.zero ?where t

@@ -25,8 +25,24 @@ let pg_write_ok p = p.write_margin >= 0
 
 let sample_write_available s = List.for_all pg_write_ok s.pgs
 
+type edge =
+  | Write_quorum_lost
+  | Write_quorum_regained
+  | Az_plus_one_lost
+  | Az_plus_one_regained
+
+let edge_name = function
+  | Write_quorum_lost -> "write_quorum_lost"
+  | Write_quorum_regained -> "write_quorum_regained"
+  | Az_plus_one_lost -> "az_plus_one_lost"
+  | Az_plus_one_regained -> "az_plus_one_regained"
+
+let all_edges =
+  [ Write_quorum_lost; Write_quorum_regained; Az_plus_one_lost; Az_plus_one_regained ]
+
+let edge_of_name s = List.find_opt (fun e -> edge_name e = s) all_edges
+
 type t = {
-  trace : Trace.t option;
   prev : (int, bool * bool) Hashtbl.t; (* pg -> (write_ok, az_plus_one) *)
   mutable last : sample option;
   mutable observed_ns : int;
@@ -34,19 +50,14 @@ type t = {
   mutable transitions : int;
 }
 
-let create ?trace () =
+let create () =
   {
-    trace;
     prev = Hashtbl.create 16;
     last = None;
     observed_ns = 0;
     available_ns = 0;
     transitions = 0;
   }
-
-let edge t ~at ~pg e =
-  t.transitions <- t.transitions + 1;
-  match t.trace with None -> () | Some tr -> Trace.health tr ~at ~pg e
 
 let observe t ~at s =
   (* Integrate availability over [last.at, at) under the previous state
@@ -59,6 +70,8 @@ let observe t ~at s =
   | Some _ | None -> ());
   (* Edge detection: a PG never seen before is presumed healthy, so the
      first unhealthy observation fires a loss edge. *)
+  let fired = ref [] in
+  let edge pg e = fired := (pg, e) :: !fired in
   List.iter
     (fun p ->
       let was_w, was_a =
@@ -67,13 +80,15 @@ let observe t ~at s =
         | None -> (true, true)
       in
       let now_w = pg_write_ok p and now_a = p.az_plus_one in
-      if was_w && not now_w then edge t ~at ~pg:p.pg Trace.Write_quorum_lost;
-      if (not was_w) && now_w then edge t ~at ~pg:p.pg Trace.Write_quorum_regained;
-      if was_a && not now_a then edge t ~at ~pg:p.pg Trace.Az_plus_one_lost;
-      if (not was_a) && now_a then edge t ~at ~pg:p.pg Trace.Az_plus_one_regained;
+      if was_w && not now_w then edge p.pg Write_quorum_lost;
+      if (not was_w) && now_w then edge p.pg Write_quorum_regained;
+      if was_a && not now_a then edge p.pg Az_plus_one_lost;
+      if (not was_a) && now_a then edge p.pg Az_plus_one_regained;
       Hashtbl.replace t.prev p.pg (now_w, now_a))
     s.pgs;
-  t.last <- Some s
+  t.last <- Some s;
+  t.transitions <- t.transitions + List.length !fired;
+  List.rev !fired
 
 let last t = t.last
 let observed_ns t = t.observed_ns

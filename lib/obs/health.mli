@@ -8,8 +8,10 @@
     This module then does three generic things:
 
     - {e edge detection}: per PG, transitions of write-quorum satisfiability
-      and AZ+1 tolerance fire exactly one {!Trace.health_edge} event each on
-      the shared trace ring (a PG never seen before is presumed healthy);
+      and AZ+1 tolerance fire exactly one {!edge} each, returned by
+      [observe] (a PG never seen before is presumed healthy) — the harness
+      records them in the cluster's flight recorder, on the same timeline
+      as the commits and membership changes that explain them;
     - {e availability accounting}: simulated time is integrated into
       write-available vs not, using the previous sample's state over each
       inter-sample interval — [write_available_fraction] is the paper's §4
@@ -52,12 +54,24 @@ val pg_write_ok : pg_sample -> bool
 val sample_write_available : sample -> bool
 (** Every PG can take writes. *)
 
+(** Cluster-health transitions. *)
+type edge =
+  | Write_quorum_lost
+  | Write_quorum_regained
+  | Az_plus_one_lost  (** Can no longer lose an AZ + one more segment. *)
+  | Az_plus_one_regained
+
+val edge_name : edge -> string
+val edge_of_name : string -> edge option
+val all_edges : edge list
+
 type t
 
-val create : ?trace:Trace.t -> unit -> t
-(** Health edges are recorded on [trace] when given (and enabled). *)
+val create : unit -> t
 
-val observe : t -> at:Simcore.Time_ns.t -> sample -> unit
+val observe : t -> at:Simcore.Time_ns.t -> sample -> (int * edge) list
+(** Fold one sample in; returns the [(pg, edge)] transitions it fired, in
+    PG order (usually none). *)
 
 val last : t -> sample option
 

@@ -19,8 +19,11 @@ type slot = {
 let fresh_slot () =
   { calls = 0; wall_ns = 0; minor_words = 0.; open_wall = -1; open_minor = 0. }
 
-let slots = Array.init 3 (fun _ -> fresh_slot ())
-let on = ref false
+(* The only top-level mutables in lib/: the benchmark driver (perfbench)
+   drives this global API — enable, reset, read [stat] — around whole runs
+   without holding a cluster value, so the slots are process-wide. *)
+let slots = Array.init 3 (fun _ -> fresh_slot ()) [@@sim_global]
+let on = ref false [@@sim_global]
 let enable () = on := true
 let disable () = on := false
 
@@ -57,10 +60,3 @@ type stat = { calls : int; wall_ns : int; minor_words : float }
 let stat sub =
   let s = slots.(index sub) in
   { calls = s.calls; wall_ns = s.wall_ns; minor_words = s.minor_words }
-
-(* Declares the module-global state above ([slots] via [reset], [on]
-   directly) to the reset-hook registry the typed sim-global lint checks. *)
-let () =
-  Simcore.Reset.register ~name:"perf.probe" (fun () ->
-      on := false;
-      reset ())

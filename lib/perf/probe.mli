@@ -11,7 +11,10 @@
     All state lives here, outside the simulation: enabling or disabling
     probes changes *nothing* observable inside a run (no RNG draws, no sim
     events, no metrics registry entries), so the byte-diff determinism gate
-    is untouched.  Probes are disabled by default; a disabled
+    is untouched.  It is process-global — the two [[@@sim_global]]
+    bindings are the only top-level mutables in [lib/] — because the
+    benchmark driver drives this API around whole runs without holding a
+    cluster; {!reset} between runs is the caller's job.  Probes are disabled by default; a disabled
     {!start}/{!stop} pair costs one load and branch.
 
     Spans may nest across subsystems (delivery > apply) but a subsystem's

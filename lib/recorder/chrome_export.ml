@@ -1,3 +1,5 @@
+module Json = Obs.Json
+
 let pid = 1
 
 (* Lane 0 is the volume-level lane; pg [g] maps to tid [g + 1]. *)
@@ -32,7 +34,7 @@ let span ~name ~id ~tid ~ts_b ~ts_e acc =
 let timeline_events acc (lsn, pg, stages) =
   let tid = tid_of_pg pg in
   let observed =
-    List.filter (fun i -> stages.(i) >= 0) (List.init Trace.n_stages Fun.id)
+    List.filter (fun i -> stages.(i) >= 0) (List.init Obs.Commit_path.n_stages Fun.id)
   in
   match observed with
   | [] | [ _ ] -> acc
@@ -48,7 +50,7 @@ let timeline_events acc (lsn, pg, stages) =
       | a :: (b :: _ as rest) ->
         let acc =
           span
-            ~name:(Trace.stage_name (Trace.stage_of_index b))
+            ~name:(Obs.Commit_path.stage_name (Obs.Commit_path.stage_of_index b))
             ~id:lsn ~tid ~ts_b:(us_of_ns stages.(a)) ~ts_e:(us_of_ns stages.(b))
             acc
         in
@@ -59,60 +61,64 @@ let timeline_events acc (lsn, pg, stages) =
 
 let instant ~name ~at ~tid args =
   base ~name ~ph:"i" ~ts:(us_of_ns at) ~tid
-    (("s", Json.String "t")
-    :: (match args with [] -> [] | _ -> [ ("args", Json.Obj args) ]))
+    [ ("s", Json.String "t"); ("args", Json.Obj args) ]
 
-let ring_event acc (at, ev) =
+(* Lifecycle events as (name, pg, args); traffic, watermark advances and
+   commit events are not instants. *)
+let lifecycle (ev : Event.t) =
   match ev with
-  | Trace.Commit _ -> acc (* covered by the commit-path timelines *)
-  | Trace.Read { pg; kind } ->
-    instant
-      ~name:("read " ^ Trace.read_kind_name kind)
-      ~at ~tid:(tid_of_pg pg) []
-    :: acc
-  | Trace.Recovery { epoch; phase } ->
-    instant
-      ~name:("recovery " ^ Trace.recovery_phase_name phase)
-      ~at ~tid:0
-      [ ("epoch", Json.Int epoch) ]
-    :: acc
-  | Trace.Membership { pg; epoch; phase } ->
-    instant
-      ~name:("membership " ^ Trace.membership_phase_name phase)
-      ~at ~tid:(tid_of_pg pg)
-      [ ("epoch", Json.Int epoch) ]
-    :: acc
-  | Trace.Health { pg; edge } ->
-    instant ~name:(Trace.health_edge_name edge) ~at ~tid:(tid_of_pg pg) [] :: acc
+  | Started -> Some ("started", -1, [])
+  | Crashed -> Some ("crashed", -1, [])
+  | Destroyed -> Some ("destroyed", -1, [])
+  | Fenced { epoch } -> Some ("fenced", -1, [ ("epoch", Json.Int epoch) ])
+  | Recovery_start { epoch } ->
+    Some ("recovery started", -1, [ ("epoch", Json.Int epoch) ])
+  | Recovery_finish { vcl; vdl } ->
+    Some ("recovery finished", -1, [ ("vcl", Json.Int vcl); ("vdl", Json.Int vdl) ])
+  | Membership_change { pg; epoch; phase } ->
+    Some
+      ( "membership " ^ Event.membership_phase_name phase,
+        pg,
+        [ ("epoch", Json.Int epoch) ] )
+  | Health_edge { pg; edge } -> Some (Obs.Health.edge_name edge, pg, [])
+  | Send _ | Receive _ | Drop _ | Scl_advance _ | Gossip_fill _
+  | Hydrate_import _ | Vcl_advance _ | Vdl_advance _ | Pgmrpl_advance _
+  | Epoch_change _ | Commit_submit _ | Commit_ack _ ->
+    None
 
-let to_json ctx =
-  let timelines = Commit_path.timelines (Ctx.commit_path ctx) in
-  let ring = Trace.events (Ctx.trace ctx) in
+let to_json ctx rings =
+  let timelines = Obs.Commit_path.timelines (Obs.Ctx.commit_path ctx) in
+  let marks =
+    List.filter_map
+      (fun (e : Correlate.entry) ->
+        Option.map
+          (fun (name, pg, args) ->
+            (e.at, name, pg, ("node", Json.Int e.node) :: args))
+          (lifecycle e.event))
+      (Correlate.entries (Rings.snapshot rings))
+  in
   (* Lanes: volume lane 0 always, plus every pg seen anywhere. *)
   let pgs = Hashtbl.create 16 in
-  List.iter (fun (_, pg, _) -> if pg >= 0 then Hashtbl.replace pgs pg ()) timelines;
-  List.iter
-    (fun (_, ev) ->
-      match ev with
-      | Trace.Read { pg; _ }
-      | Trace.Membership { pg; _ }
-      | Trace.Health { pg; _ }
-      | Trace.Commit { pg; _ } ->
-        if pg >= 0 then Hashtbl.replace pgs pg ()
-      | Trace.Recovery _ -> ())
-    ring;
+  let see pg = if pg >= 0 then Hashtbl.replace pgs pg () in
+  List.iter (fun (_, pg, _) -> see pg) timelines;
+  List.iter (fun (_, _, pg, _) -> see pg) marks;
   let lanes =
     thread_name_meta 0 "volume"
-    :: (Stable.sorted_keys ~cmp:Int.compare pgs
+    :: (Obs.Stable.sorted_keys ~cmp:Int.compare pgs
        |> List.map (fun pg ->
               thread_name_meta (tid_of_pg pg) (Printf.sprintf "pg %d" pg)))
   in
   let spans = List.rev (List.fold_left timeline_events [] timelines) in
-  let instants = List.rev (List.fold_left ring_event [] ring) in
+  let instants =
+    List.map
+      (fun (at, name, pg, args) -> instant ~name ~at ~tid:(tid_of_pg pg) args)
+      marks
+  in
   Json.Obj
     [
       ("traceEvents", Json.List (lanes @ spans @ instants));
       ("displayTimeUnit", Json.String "ms");
     ]
 
-let to_string ?(pretty = false) ctx = Json.to_string ~pretty (to_json ctx)
+let to_string ?(pretty = false) ctx rings =
+  Json.to_string ~pretty (to_json ctx rings)

@@ -25,6 +25,11 @@ let entries (s : Rings.snapshot) =
   List.sort cmp tagged
   |> List.map (fun (at, node, _, role, event) -> { at; node; role; event })
 
+let tail s n =
+  let es = entries s in
+  let skip = List.length es - n in
+  List.filteri (fun i _ -> i >= skip) es
+
 let filter_snapshot mk (s : Rings.snapshot) =
   {
     Rings.nodes =
@@ -117,7 +122,9 @@ let event_pg = function
   | Event.Gossip_fill { pg; _ }
   | Event.Hydrate_import { pg; _ }
   | Event.Pgmrpl_advance { pg; _ }
-  | Event.Epoch_change { pg; _ } ->
+  | Event.Epoch_change { pg; _ }
+  | Event.Membership_change { pg; _ }
+  | Event.Health_edge { pg; _ } ->
     pg
   | _ -> -1
 

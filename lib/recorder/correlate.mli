@@ -14,6 +14,9 @@ type entry = {
 val entries : Rings.snapshot -> entry list
 (** Every event in the snapshot, merged and causally ordered. *)
 
+val tail : Rings.snapshot -> int -> entry list
+(** The last [n] of {!entries}: the cluster-wide trace tail. *)
+
 val timeline_for_lsn : Rings.snapshot -> lsn:int -> entry list
 (** The LSN's journey across the quorum: every send/receive/drop whose
     payload range contains it, plus — once per node — the first ack and

@@ -1,8 +1,8 @@
 (* Typed flight-recorder events.
 
-   Every payload field is a plain [int]: LSNs, PGs, epochs, txn ids and
-   node ids are carried as their integer images, with [-1] meaning "not
-   applicable".  That keeps this library below [lib/wal] and
+   Every payload field is a plain [int] or a constant constructor: LSNs,
+   PGs, epochs, txn ids and node ids are carried as their integer images,
+   with [-1] meaning "not applicable".  That keeps this library below [lib/wal] and
    [lib/storage] in the dependency order — the protocol layers translate
    their abstract types at the hook point, and the recorder never needs
    a protocol module to decode what it stored. *)
@@ -99,6 +99,18 @@ let all_drop_causes = [ Down; Blocked; Partitioned; Random ]
 let drop_cause_of_name s =
   List.find_opt (fun c -> drop_cause_name c = s) all_drop_causes
 
+type membership_phase = Change_begun | Change_committed | Change_reverted
+
+let membership_phase_name = function
+  | Change_begun -> "begun"
+  | Change_committed -> "committed"
+  | Change_reverted -> "reverted"
+
+let all_membership_phases = [ Change_begun; Change_committed; Change_reverted ]
+
+let membership_phase_of_name s =
+  List.find_opt (fun p -> membership_phase_name p = s) all_membership_phases
+
 type t =
   | Send of { kind : msg_kind; peer : int; pg : int; lsn_lo : int; lsn_hi : int }
   | Receive of {
@@ -131,6 +143,8 @@ type t =
   | Fenced of { epoch : int }
   | Recovery_start of { epoch : int }
   | Recovery_finish of { vcl : int; vdl : int }
+  | Membership_change of { pg : int; epoch : int; phase : membership_phase }
+  | Health_edge of { pg : int; edge : Obs.Health.edge }
 
 let equal (a : t) (b : t) = a = b
 
@@ -186,6 +200,15 @@ let to_json t =
   | Recovery_start { epoch } -> obj "recovery_start" [ ("epoch", Int epoch) ]
   | Recovery_finish { vcl; vdl } ->
     obj "recovery_finish" [ ("vcl", Int vcl); ("vdl", Int vdl) ]
+  | Membership_change { pg; epoch; phase } ->
+    obj "membership"
+      [
+        ("pg", Int pg);
+        ("epoch", Int epoch);
+        ("phase", String (membership_phase_name phase));
+      ]
+  | Health_edge { pg; edge } ->
+    obj "health" [ ("pg", Int pg); ("edge", String (Obs.Health.edge_name edge)) ]
 
 let of_json j =
   let open Obs.Json in
@@ -280,6 +303,19 @@ let of_json j =
       let* vcl = int "vcl" in
       let* vdl = int "vdl" in
       Ok (Recovery_finish { vcl; vdl })
+    | "membership" ->
+      let* pg = int "pg" in
+      let* epoch = int "epoch" in
+      let* phase_s = str "phase" in
+      (match membership_phase_of_name phase_s with
+      | Some phase -> Ok (Membership_change { pg; epoch; phase })
+      | None -> fail "event: unknown membership phase %S" phase_s)
+    | "health" ->
+      let* pg = int "pg" in
+      let* edge_s = str "edge" in
+      (match Obs.Health.edge_of_name edge_s with
+      | Some edge -> Ok (Health_edge { pg; edge })
+      | None -> fail "event: unknown health edge %S" edge_s)
     | tag -> fail "event: unknown tag %S" tag)
   | _ -> fail "event: expected an object"
 
@@ -328,3 +364,8 @@ let describe = function
   | Recovery_start { epoch } -> Printf.sprintf "recovery_start epoch=%d" epoch
   | Recovery_finish { vcl; vdl } ->
     Printf.sprintf "recovery_finish vcl=%d vdl=%d" vcl vdl
+  | Membership_change { pg; epoch; phase } ->
+    Printf.sprintf "membership pg%d epoch=%d %s" pg epoch
+      (membership_phase_name phase)
+  | Health_edge { pg; edge } ->
+    Printf.sprintf "health pg%d %s" pg (Obs.Health.edge_name edge)

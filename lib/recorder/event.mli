@@ -1,8 +1,10 @@
 (** Typed flight-recorder events.
 
-    Every payload field is a plain [int] — LSNs, PGs, epochs, txn ids and
-    node ids are carried as their integer images, with [-1] meaning "not
-    applicable".  This keeps the recorder below the protocol libraries in
+    Every payload field is a plain [int] or a constant constructor — LSNs,
+    PGs, epochs, txn ids and node ids are carried as their integer images,
+    with [-1] meaning "not applicable".  This is the repo's one event
+    vocabulary: network traffic, SCL/VCL/VDL advances, commits, recovery,
+    epochs, membership phases and health edges.  This keeps the recorder below the protocol libraries in
     the dependency order: hook points in [lib/simnet], [lib/storage],
     [lib/core] and [lib/harness] translate their abstract types when they
     record, and nothing is needed to decode an event afterwards. *)
@@ -48,6 +50,14 @@ val drop_cause_name : drop_cause -> string
 val drop_cause_of_name : string -> drop_cause option
 val all_drop_causes : drop_cause list
 
+(** Figure 5's two-step membership change: the first epoch increment
+    (dual quorums), then the second onto the new set or back. *)
+type membership_phase = Change_begun | Change_committed | Change_reverted
+
+val membership_phase_name : membership_phase -> string
+val membership_phase_of_name : string -> membership_phase option
+val all_membership_phases : membership_phase list
+
 (** One recorded protocol event.  Network events carry the remote peer's
     node id and the message's governing PG and LSN range ([lsn_lo = lsn_hi]
     for single-watermark messages, [-1] when the message carries no LSN). *)
@@ -83,6 +93,10 @@ type t =
   | Fenced of { epoch : int }
   | Recovery_start of { epoch : int }
   | Recovery_finish of { vcl : int; vdl : int }
+  | Membership_change of { pg : int; epoch : int; phase : membership_phase }
+      (** [epoch] is the membership epoch the phase installed. *)
+  | Health_edge of { pg : int; edge : Obs.Health.edge }
+      (** A quorum-health transition {!Obs.Health.observe} detected. *)
 
 val equal : t -> t -> bool
 

@@ -1,8 +1,7 @@
-(* Per-node bounded ring buffers, in the style of [Perf.Probe]:
-   module-global mutable state living entirely outside the sim.  Recording
+(* Per-node bounded ring buffers, one recorder per cluster.  Recording
    draws no randomness and schedules no events, so an instrumented run is
-   byte-identical to a bare one; while disabled every [note] is a no-op
-   and hook points pay a single flag read. *)
+   byte-identical to a bare one; while off every [note] is a no-op, hook
+   points pay a single field read, and no buffer is allocated. *)
 
 let min_depth = 16
 let max_depth = 65536
@@ -10,66 +9,60 @@ let default_depth = 512
 
 type ring = {
   role : Event.role;
-  cap : int;
-  buf : (int * Event.t) array;
+  mutable buf : (int * Event.t) array; (* empty while recording is off *)
   mutable len : int;
   mutable head : int; (* next write position *)
   mutable evicted : int;
 }
 
-let on = ref false
-let depth = ref default_depth
-let rings : (int, ring) Hashtbl.t = Hashtbl.create 64
+type t = {
+  mutable depth : int; (* 0 = recording off *)
+  rings : (int, ring) Hashtbl.t;
+}
 
-let enabled () = !on
-let enable () = on := true
-let disable () = on := false
-
-let set_depth d =
-  if d < min_depth || d > max_depth then
-    invalid_arg
-      (Printf.sprintf "Recorder.Rings.set_depth: %d outside [%d, %d]" d
-         min_depth max_depth)
-  else depth := d
-
-let reset () =
-  Hashtbl.reset rings;
-  depth := default_depth
-
-(* Declares the module-global state above ([rings] and [depth] via [reset],
-   [on] directly) to the reset-hook registry the typed sim-global lint
-   checks. *)
-let () =
-  Simcore.Reset.register ~name:"recorder.rings" (fun () ->
-      on := false;
-      reset ())
-
+let create () = { depth = 0; rings = Hashtbl.create 16 }
+let enabled t = t.depth > 0
 let dummy = (0, Event.Started)
 
-let fresh role =
-  { role; cap = !depth; buf = Array.make !depth dummy; len = 0; head = 0;
-    evicted = 0 }
-
-let register ~node ~role =
-  if not (Hashtbl.mem rings node) then Hashtbl.replace rings node (fresh role)
-
-let ring_for node =
-  match Hashtbl.find_opt rings node with
-  | Some r -> r
-  | None ->
-    let r = fresh Event.Unknown in
-    Hashtbl.replace rings node r;
-    r
-
-let note ~node ~at ev =
-  if !on then begin
-    let r = ring_for node in
-    r.buf.(r.head) <- (at, ev);
-    r.head <- (r.head + 1) mod r.cap;
-    if r.len < r.cap then r.len <- r.len + 1 else r.evicted <- r.evicted + 1
+let enable t ~depth =
+  if depth < min_depth || depth > max_depth then
+    invalid_arg
+      (Printf.sprintf "Recorder.Rings.enable: depth %d outside [%d, %d]" depth
+         min_depth max_depth);
+  if t.depth = 0 then begin
+    t.depth <- depth;
+    List.iter
+      (fun (_, r) -> r.buf <- Array.make depth dummy)
+      (Obs.Stable.sorted_bindings ~cmp:Int.compare t.rings)
   end
 
-let registered () = Hashtbl.length rings
+let fresh t role =
+  {
+    role;
+    buf = (if t.depth > 0 then Array.make t.depth dummy else [||]);
+    len = 0;
+    head = 0;
+    evicted = 0;
+  }
+
+let register t ~node ~role =
+  if not (Hashtbl.mem t.rings node) then Hashtbl.replace t.rings node (fresh t role)
+
+let ring_for t node =
+  match Hashtbl.find_opt t.rings node with
+  | Some r -> r
+  | None ->
+    let r = fresh t Event.Unknown in
+    Hashtbl.replace t.rings node r;
+    r
+
+let note t ~node ~at ev =
+  if t.depth > 0 then begin
+    let r = ring_for t node in
+    r.buf.(r.head) <- (at, ev);
+    r.head <- (r.head + 1) mod t.depth;
+    if r.len < t.depth then r.len <- r.len + 1 else r.evicted <- r.evicted + 1
+  end
 
 (* ------------------------------------------------------------ snapshots -- *)
 
@@ -83,20 +76,22 @@ type node_ring = {
 
 type snapshot = { nodes : node_ring list }
 
-let events_of r =
-  let start = (r.head - r.len + r.cap) mod r.cap in
-  List.init r.len (fun i -> r.buf.((start + i) mod r.cap))
+let events_of cap r =
+  let start = (r.head - r.len + cap) mod cap in
+  List.init r.len (fun i -> r.buf.((start + i) mod cap))
 
-let snapshot () =
-  let nodes =
-    Obs.Stable.sorted_bindings ~cmp:Int.compare rings
-    |> List.map (fun (node, (r : ring)) ->
-           {
-             node;
-             role = r.role;
-             depth = r.cap;
-             evicted = r.evicted;
-             events = events_of r;
-           })
-  in
-  { nodes }
+let snapshot (t : t) =
+  if t.depth = 0 then { nodes = [] }
+  else
+    let nodes =
+      Obs.Stable.sorted_bindings ~cmp:Int.compare t.rings
+      |> List.map (fun (node, (r : ring)) ->
+             {
+               node;
+               role = r.role;
+               depth = t.depth;
+               evicted = r.evicted;
+               events = events_of t.depth r;
+             })
+    in
+    { nodes }

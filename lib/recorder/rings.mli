@@ -1,10 +1,12 @@
-(** Global per-node event rings — the flight recorder proper.
+(** Per-node event rings — the flight recorder proper.
 
-    Module-global mutable state in the style of [Perf.Probe]: it lives
-    entirely outside the sim, records no randomness, and schedules
-    nothing, so enabling the recorder cannot perturb a deterministic run.
-    Disabled (the default) every {!note} is a no-op, which is how the
-    [smoke --json] byte gate stays untouched.
+    One value per cluster ({!Harness.Cluster} creates it and hands it to
+    the network hook, the writer and every storage node).  Recording draws
+    no randomness and schedules nothing, so switching it on cannot perturb
+    a deterministic run.  Off (the default) every {!note} is a no-op and
+    no ring buffer exists; hook points gate on {!enabled} so they build no
+    event either, which is how the [smoke --json] byte gate stays
+    untouched.
 
     Timestamps are [Simcore.Time_ns.t] values, i.e. plain nanosecond
     ints, stored verbatim. *)
@@ -19,30 +21,27 @@ val max_depth : int
 val default_depth : int
 (** Capacity used when no [recorder_depth] directive is given (512). *)
 
-val enabled : unit -> bool
-val enable : unit -> unit
-val disable : unit -> unit
+type t
 
-val set_depth : int -> unit
-(** Capacity for rings registered {e afterwards}; existing rings keep
-    theirs.  Raises [Invalid_argument] outside
-    [[min_depth, max_depth]]. *)
+val create : unit -> t
+(** A recorder with recording off. *)
 
-val reset : unit -> unit
-(** Drop every ring and restore {!default_depth}.  Call between runs so
-    swarm memory stays flat across seeds. *)
+val enable : t -> depth:int -> unit
+(** Switch recording on: every registered node, and every node that
+    records later, gets a ring of [depth] events.  No-op once on.  Raises
+    [Invalid_argument] outside [[min_depth, max_depth]]. *)
 
-val register : node:int -> role:Event.role -> unit
-(** Create an empty ring for [node] (idempotent — a restart does not wipe
-    the node's history).  Unregistered nodes that record anyway are
-    auto-registered with role {!Event.Unknown}. *)
+val enabled : t -> bool
 
-val note : node:int -> at:int -> Event.t -> unit
-(** Append an event at sim time [at] (nanoseconds).  No-op while
-    disabled; once a ring is full the oldest event is evicted. *)
+val register : t -> node:int -> role:Event.role -> unit
+(** Name [node]'s role (first registration wins — a restart does not wipe
+    the node's history).  Roles are kept while recording is off, so
+    switching it on later still labels every node.  Unregistered nodes
+    that record anyway get role {!Event.Unknown}. *)
 
-val registered : unit -> int
-(** Number of rings currently registered. *)
+val note : t -> node:int -> at:int -> Event.t -> unit
+(** Append an event at sim time [at] (nanoseconds).  No-op while off;
+    once a ring is full the oldest event is evicted. *)
 
 type node_ring = {
   node : int;
@@ -54,6 +53,6 @@ type node_ring = {
 
 type snapshot = { nodes : node_ring list (* sorted by node id *) }
 
-val snapshot : unit -> snapshot
+val snapshot : t -> snapshot
 (** Immutable copy of every ring, nodes sorted by id — the input to
-    [Correlate] and [Artifact]. *)
+    [Correlate] and [Artifact].  Empty while recording is off. *)

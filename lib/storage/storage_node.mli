@@ -53,11 +53,14 @@ val create :
   config:config ->
   ?obs:Obs.Ctx.t ->
   ?obs_labels:Obs.Registry.labels ->
+  ?recorder:Recorder.Rings.t ->
   unit ->
   t
 (** [obs] registers the [storage_*] counters labelled with this node's
     address; [obs_labels] adds extra dimensions (the harness tags the
-    node's AZ). *)
+    node's AZ).  [recorder] is the cluster's flight recorder (SCL, gossip,
+    hydration, epoch, PGMRPL and lifecycle events land on this node's
+    ring); omitted, the node gets one that is off. *)
 
 val addr : t -> Simnet.Addr.t
 val add_segment : t -> Segment.t -> unit

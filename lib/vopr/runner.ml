@@ -79,13 +79,10 @@ let run ~seed ?(record_always = false) (sc : Scenario.t) =
       layout = sc.layout;
     }
   in
-  (* Arm the flight recorder before any node registers.  Ring state lives
-     outside the sim and the hooks draw no randomness, so an instrumented
-     run is byte-identical to a bare one. *)
-  Recorder.Rings.reset ();
-  Recorder.Rings.set_depth sc.recorder_depth;
-  Recorder.Rings.enable ();
-  let cluster = Cluster.create cfg in
+  (* The cluster's flight recorder is on from the first event.  The hooks
+     draw no randomness, so an instrumented run is byte-identical to a
+     bare one. *)
+  let cluster = Cluster.create ~recorder_depth:sc.recorder_depth cfg in
   let sim = Cluster.sim cluster in
   let db = Cluster.db cluster in
   for _ = 1 to sc.replicas do
@@ -271,18 +268,16 @@ let run ~seed ?(record_always = false) (sc : Scenario.t) =
   Sim.run_until sim (Time_ns.add full_horizon (Time_ns.sec 5));
   Checker.stop checker;
   (* Snapshot the rings into the repro artifact on any violation (or on
-     request), then stand the recorder down so swarm memory stays flat. *)
+     request); they go with the cluster, so swarm memory stays flat. *)
   let recorder =
     if Checker.total checker > 0 || record_always then
       Some
         (Recorder.Artifact.make
-           ~snapshot:(Recorder.Rings.snapshot ())
+           ~snapshot:(Recorder.Rings.snapshot (Cluster.recorder cluster))
            ~net:(net_artifact (Cluster.net cluster))
            ())
     else None
   in
-  Recorder.Rings.disable ();
-  Recorder.Rings.reset ();
   {
     scenario = sc.name;
     seed;

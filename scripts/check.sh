@@ -28,7 +28,8 @@ dune build @lint
 
 # Typed tier: interprocedural rules over the compiler's .cmt trees —
 # hot-path allocation (call graph from the hot-entry manifest), sim-state
-# purity (Reset.register coverage), protocol/event constructor coverage,
+# purity (no top-level mutable in lib/ unless annotated [@@sim_global]),
+# protocol/event constructor coverage,
 # and type-precise polymorphic-compare detection (DESIGN.md §6).
 dune build @lint-typed
 
@@ -54,18 +55,24 @@ dune build @vopr-smoke
 # (see DESIGN.md section 8).
 dune build @recorder-smoke
 
-# Determinism gate: the whole sim (including the observability sampler,
-# time-series decimation, and trace) must be byte-identical across reruns
-# of the same seed.  Any nondeterminism (hash-order iteration, wall-clock
-# leakage, unseeded randomness) shows up here as a byte diff.
+# Determinism gate: the whole sim (including the observability sampler
+# and time-series decimation) must be byte-identical across reruns of the
+# same seed.  Any nondeterminism (hash-order iteration, wall-clock
+# leakage, unseeded randomness) shows up here as a byte diff.  smoke runs
+# with the flight recorder off; the obs rerun has it on, so the recorder's
+# trace tail is held to the same standard.
 tmpdir=$(mktemp -d)
 trap 'rm -rf "$tmpdir"' EXIT
-dune exec --no-build bin/aurora_cli.exe -- smoke --json --seed 7 > "$tmpdir/a.json"
-dune exec --no-build bin/aurora_cli.exe -- smoke --json --seed 7 > "$tmpdir/b.json"
-if ! cmp -s "$tmpdir/a.json" "$tmpdir/b.json"; then
-  echo "error: smoke --json is not deterministic across reruns of seed 7" >&2
-  diff "$tmpdir/a.json" "$tmpdir/b.json" | head -10 >&2
-  exit 1
-fi
+same_twice() {
+  dune exec --no-build bin/aurora_cli.exe -- "$@" > "$tmpdir/a.json"
+  dune exec --no-build bin/aurora_cli.exe -- "$@" > "$tmpdir/b.json"
+  if ! cmp -s "$tmpdir/a.json" "$tmpdir/b.json"; then
+    echo "error: '$*' is not deterministic across reruns" >&2
+    diff "$tmpdir/a.json" "$tmpdir/b.json" | head -10 >&2
+    exit 1
+  fi
+}
+same_twice smoke --json --seed 7
+same_twice obs --json --trace-tail 200 --seed 7
 
 echo "check.sh: all green (determinism gate: byte-identical reruns)"

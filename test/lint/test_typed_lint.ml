@@ -18,7 +18,6 @@ let fixture_config : Lint.Typed_rules.config =
         "Lint_typed_fixtures.Tf_hot.entry_ok";
       ];
     sim_scope = String.equal (fx "tf_global.ml");
-    sim_allow = [];
     describe_checks =
       [
         ( "Lint_typed_fixtures.Tf_proto.t",
@@ -72,11 +71,11 @@ let test_hot_alloc () =
     [ (fx "tf_hot.ml", 7); (fx "tf_hot.ml", 9) ]
     "typed-hot-alloc"
 
-(* [naked] (line 5) has no hook and no annotation; [covered] is cleared by
-   the registered hook, [blessed] carries [@@sim_global]. *)
+(* [naked] (line 5) and [covered] (line 6) carry no annotation — a reset
+   function does not excuse [covered]; [blessed] carries [@@sim_global]. *)
 let test_sim_global () =
-  check_sites "only the hookless, unannotated global is flagged"
-    [ (fx "tf_global.ml", 5) ]
+  check_sites "every unannotated global is flagged"
+    [ (fx "tf_global.ml", 5); (fx "tf_global.ml", 6) ]
     "typed-sim-global"
 
 (* [describe]'s wildcard hides [Pong] (line 7) and [Ack] (line 8); the
@@ -102,16 +101,15 @@ let test_poly_compare () =
 
 let test_no_extra_findings () =
   Alcotest.(check int)
-    "the five rule tests account for every finding" 7
+    "the five rule tests account for every finding" 8
     (List.length (Lazy.force fixture_findings))
 
 (* A renamed hot root, type, or total function must degrade loudly — to a
    finding anchored at the manifest pseudo-file — never to a silently
    disabled rule. *)
 let test_manifest_rot () =
-  let cfg =
+  let cfg : Lint.Typed_rules.config =
     {
-      fixture_config with
       hot_roots = [ "Lint_typed_fixtures.Tf_hot.renamed" ];
       describe_checks =
         [

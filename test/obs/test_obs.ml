@@ -73,57 +73,103 @@ let test_registry_snapshot_filter () =
   Alcotest.(check bool) "keeps unlabelled" true
     (Astring_contains.contains with_pg0 "global")
 
-(* ---- trace ring ---- *)
+(* ---- trace: the cluster's flight recorder ---- *)
 
+module Rings = Recorder.Rings
+
+(* A short smoke workload against a default cluster; [recorder_depth]
+   switches its flight recorder on from the first event. *)
+let run_recorded ?recorder_depth ~seed () =
+  let cluster =
+    Harness.Cluster.create ?recorder_depth
+      { Harness.Cluster.default_config with seed }
+  in
+  let sim = Harness.Cluster.sim cluster in
+  let gen =
+    Workload.Txn_gen.create ~sim ~rng:(Rng.create (seed + 1))
+      ~db:(Harness.Cluster.db cluster)
+      ~profile:Workload.Txn_gen.default_profile ()
+  in
+  Workload.Txn_gen.run_open_loop gen ~rate_per_sec:2000.
+    ~duration:(Time_ns.ms 100);
+  Sim.run_until sim (Time_ns.ms 300);
+  cluster
+
+let rings_of cluster = (Rings.snapshot (Harness.Cluster.recorder cluster)).nodes
+
+(* Every node's ring holds at most [depth] events, the newest ones, in
+   time order, and the writer's ring wrapped under this load. *)
 let test_trace_ring () =
-  let tr = Obs.Trace.create ~capacity:3 () in
-  Obs.Trace.enable tr;
-  for i = 1 to 5 do
-    Obs.Trace.read tr ~at:(Time_ns.ns i) ~pg:i Obs.Trace.Read_tracked
-  done;
-  check_int "capped" 3 (Obs.Trace.length tr);
-  (match Obs.Trace.events tr with
-  | (at, Obs.Trace.Read { pg; _ }) :: _ ->
-    check_int "oldest surviving at" 3 at;
-    check_int "oldest surviving pg" 3 pg
-  | _ -> Alcotest.fail "expected Read events");
-  check_int "tail 2" 2 (List.length (Obs.Trace.tail tr 2));
-  Obs.Trace.clear tr;
-  check_int "cleared" 0 (Obs.Trace.length tr)
+  let depth = Rings.min_depth in
+  let cluster = run_recorded ~recorder_depth:depth ~seed:3 () in
+  let rings = rings_of cluster in
+  check_int "one ring per node (writer + 12 storage)" 13 (List.length rings);
+  List.iter
+    (fun (r : Rings.node_ring) ->
+      check_int "depth reported" depth r.depth;
+      check_bool "capped at depth" true (List.length r.events <= depth);
+      let ats = List.map fst r.events in
+      check_bool "oldest first" true (List.sort Int.compare ats = ats))
+    rings;
+  let writer =
+    List.find (fun (r : Rings.node_ring) -> r.role = Recorder.Event.Writer) rings
+  in
+  check_int "writer ring full" depth (List.length writer.events);
+  check_bool "writer ring wrapped" true (writer.evicted > 0);
+  (* The survivors are the newest: the last one is at the end of the run. *)
+  check_bool "newest retained" true
+    (fst (List.nth writer.events (depth - 1)) > Time_ns.ms 100)
 
+(* Evictions are counted exactly: against an identically seeded run whose
+   rings never wrap, each small ring evicted precisely the overflow. *)
+let test_trace_dropped () =
+  let small = rings_of (run_recorded ~recorder_depth:Rings.min_depth ~seed:4 ()) in
+  let big = rings_of (run_recorded ~recorder_depth:Rings.max_depth ~seed:4 ()) in
+  check_int "same nodes" (List.length big) (List.length small);
+  List.iter2
+    (fun (s : Rings.node_ring) (b : Rings.node_ring) ->
+      check_int "no eviction at max depth" 0 b.evicted;
+      check_int
+        (Printf.sprintf "n%d evicted = overflow" s.node)
+        (max 0 (List.length b.events - Rings.min_depth))
+        s.evicted)
+    small big;
+  check_int "recorder off: nothing kept" 0
+    (List.length (rings_of (run_recorded ~seed:4 ())))
+
+(* A recorder that is off pays no allocation per note and keeps nothing. *)
 let test_trace_disabled_zero_alloc () =
-  let tr = Obs.Trace.create ~capacity:64 () in
-  (* Warm up so any one-time allocation is out of the measured window. *)
-  Obs.Trace.read tr ~at:0 ~pg:0 Obs.Trace.Read_tracked;
+  let cluster = run_recorded ~seed:5 () in
+  let r = Harness.Cluster.recorder cluster in
+  let ev = Recorder.Event.Vcl_advance { vcl = 1 } in
+  Rings.note r ~node:0 ~at:0 ev;
   let before = Gc.minor_words () in
   for i = 1 to 1000 do
-    Obs.Trace.commit_stage tr ~at:i ~lsn:i ~member:(-1) ~pg:(-1)
-      Obs.Trace.Lsn_allocated;
-    Obs.Trace.read tr ~at:i ~pg:0 Obs.Trace.Read_cache_hit
+    if Rings.enabled r then Alcotest.fail "recorder switched itself on";
+    Rings.note r ~node:(i land 7) ~at:i ev
   done;
   let allocated = Gc.minor_words () -. before in
-  check_int "disabled trace stays empty" 0 (Obs.Trace.length tr);
+  check_int "off recorder stays empty" 0 (List.length (Rings.snapshot r).nodes);
   Alcotest.(check bool)
-    (Printf.sprintf "allocation-free while disabled (%.0f words)" allocated)
+    (Printf.sprintf "allocation-free while off (%.0f words)" allocated)
     true (allocated < 256.)
 
 (* ---- commit path ---- *)
 
 let test_commit_path_pairs () =
   let reg = Obs.Registry.create () in
-  let tr = Obs.Trace.create () in
-  let cp = Obs.Commit_path.create ~registry:reg ~trace:tr () in
-  let mark ~at ~lsn ?member st = Obs.Commit_path.mark cp ~at ~lsn ?member st in
+  let cp = Obs.Commit_path.create ~registry:reg () in
+  let mark ~at ~lsn st = Obs.Commit_path.mark cp ~at ~lsn st in
   (* One record through the whole pipeline. *)
-  mark ~at:0 ~lsn:1 Obs.Trace.Lsn_allocated;
-  mark ~at:10 ~lsn:1 Obs.Trace.Boxcar_flushed;
-  mark ~at:10 ~lsn:1 Obs.Trace.Net_sent;
-  mark ~at:510 ~lsn:1 ~member:2 Obs.Trace.Node_acked;
-  mark ~at:520 ~lsn:1 ~member:4 Obs.Trace.Node_acked (* idempotent: later ack ignored *);
-  mark ~at:600 ~lsn:1 Obs.Trace.Pgcl_advanced;
-  mark ~at:600 ~lsn:1 Obs.Trace.Vcl_advanced;
-  mark ~at:700 ~lsn:1 Obs.Trace.Vdl_advanced;
-  mark ~at:650 ~lsn:1 Obs.Trace.Commit_acked;
+  mark ~at:0 ~lsn:1 Obs.Commit_path.Lsn_allocated;
+  mark ~at:10 ~lsn:1 Obs.Commit_path.Boxcar_flushed;
+  mark ~at:10 ~lsn:1 Obs.Commit_path.Net_sent;
+  mark ~at:510 ~lsn:1 Obs.Commit_path.Node_acked;
+  mark ~at:520 ~lsn:1 Obs.Commit_path.Node_acked (* idempotent: later ack ignored *);
+  mark ~at:600 ~lsn:1 Obs.Commit_path.Pgcl_advanced;
+  mark ~at:600 ~lsn:1 Obs.Commit_path.Vcl_advanced;
+  mark ~at:700 ~lsn:1 Obs.Commit_path.Vdl_advanced;
+  mark ~at:650 ~lsn:1 Obs.Commit_path.Commit_acked;
   let hist stage_a stage_b =
     let label = Obs.Commit_path.stage_label stage_a stage_b in
     match
@@ -134,13 +180,13 @@ let test_commit_path_pairs () =
     | Some (_, h) -> h
     | None -> Alcotest.failf "no histogram for %s" label
   in
-  let h = hist Obs.Trace.Boxcar_flushed Obs.Trace.Node_acked in
+  let h = hist Obs.Commit_path.Boxcar_flushed Obs.Commit_path.Node_acked in
   check_int "marquee boxcar->ack count" 1 (Histogram.count h);
   check_int "marquee boxcar->ack value" 500 (Histogram.max_value h);
-  let h = hist Obs.Trace.Vcl_advanced Obs.Trace.Commit_acked in
+  let h = hist Obs.Commit_path.Vcl_advanced Obs.Commit_path.Commit_acked in
   check_int "marquee vcl->commit count" 1 (Histogram.count h);
   check_int "marquee vcl->commit value" 50 (Histogram.max_value h);
-  let h = hist Obs.Trace.Net_sent Obs.Trace.Node_acked in
+  let h = hist Obs.Commit_path.Net_sent Obs.Commit_path.Node_acked in
   check_int "nearest-prev pair value" 500 (Histogram.max_value h);
   check_int "one live timeline" 1 (Obs.Commit_path.live_timelines cp);
   Obs.Commit_path.clear cp;
@@ -148,23 +194,22 @@ let test_commit_path_pairs () =
 
 let test_commit_path_eviction () =
   let reg = Obs.Registry.create () in
-  let tr = Obs.Trace.create () in
-  let cp = Obs.Commit_path.create ~capacity:8 ~registry:reg ~trace:tr () in
+  let cp = Obs.Commit_path.create ~capacity:8 ~registry:reg () in
   for lsn = 1 to 20 do
-    Obs.Commit_path.mark cp ~at:lsn ~lsn Obs.Trace.Lsn_allocated
+    Obs.Commit_path.mark cp ~at:lsn ~lsn Obs.Commit_path.Lsn_allocated
   done;
   check_int "timelines capped" 8 (Obs.Commit_path.live_timelines cp);
   (* A mark on an evicted LSN is dropped, not resurrected. *)
-  Obs.Commit_path.mark cp ~at:100 ~lsn:1 Obs.Trace.Boxcar_flushed;
+  Obs.Commit_path.mark cp ~at:100 ~lsn:1 Obs.Commit_path.Boxcar_flushed;
   check_int "evicted lsn not resurrected" 8 (Obs.Commit_path.live_timelines cp)
 
 (* ---- whole-cluster determinism ---- *)
 
 let run_cluster seed =
   let cluster =
-    Harness.Cluster.create { Harness.Cluster.default_config with seed }
+    Harness.Cluster.create ~recorder_depth:Rings.default_depth
+      { Harness.Cluster.default_config with seed }
   in
-  Obs.Ctx.enable_tracing (Harness.Cluster.obs cluster);
   let sim = Harness.Cluster.sim cluster in
   let gen =
     Workload.Txn_gen.create ~sim ~rng:(Rng.create (seed + 1))
@@ -174,9 +219,7 @@ let run_cluster seed =
   Workload.Txn_gen.run_open_loop gen ~rate_per_sec:2000.
     ~duration:(Time_ns.ms 100);
   Sim.run_until sim (Time_ns.sec 2);
-  let obs = Harness.Cluster.obs cluster in
-  Obs.Json.to_string
-    (Obs.Ctx.snapshot_at ~at:(Sim.now sim) ~trace_tail:50 obs)
+  Obs.Json.to_string (Harness.Cluster.snapshot ~trace_tail:50 cluster)
 
 let test_cluster_snapshot_deterministic () =
   let a = run_cluster 11 in
@@ -579,9 +622,9 @@ let test_series_decimation () =
 (* ---- health ---- *)
 
 let test_health_edges_synthetic () =
-  let tr = Obs.Trace.create () in
-  Obs.Trace.enable tr;
-  let h = Obs.Health.create ~trace:tr () in
+  let h = Obs.Health.create () in
+  let fired = ref [] in
+  let observe ~at sample = fired := !fired @ Obs.Health.observe h ~at sample in
   let mk ~at ~wm ~az1 =
     {
       Obs.Health.at;
@@ -602,62 +645,57 @@ let test_health_edges_synthetic () =
         { Obs.Health.vdl_vcl_gap = 0; commit_queue_depth = 0; max_replica_lag = 0 };
     }
   in
-  Obs.Health.observe h ~at:0 (mk ~at:0 ~wm:2 ~az1:true);
+  observe ~at:0 (mk ~at:0 ~wm:2 ~az1:true);
   check_int "healthy start: no transitions" 0 (Obs.Health.transitions h);
-  Obs.Health.observe h ~at:(Time_ns.ms 100)
+  observe ~at:(Time_ns.ms 100)
     (mk ~at:(Time_ns.ms 100) ~wm:(-1) ~az1:false);
   check_int "quorum + AZ+1 loss fire one edge each" 2 (Obs.Health.transitions h);
-  Obs.Health.observe h ~at:(Time_ns.ms 150)
+  observe ~at:(Time_ns.ms 150)
     (mk ~at:(Time_ns.ms 150) ~wm:(-1) ~az1:false);
   check_int "steady unhealthy state: no re-fire" 2 (Obs.Health.transitions h);
-  Obs.Health.observe h ~at:(Time_ns.ms 200)
+  observe ~at:(Time_ns.ms 200)
     (mk ~at:(Time_ns.ms 200) ~wm:0 ~az1:true);
   check_int "recovery fires one edge each" 4 (Obs.Health.transitions h);
   (* [0,100) available from the t=0 sample, [100,200) not: exactly half. *)
   Alcotest.(check (float 1e-9)) "availability integrates previous state" 0.5
     (Obs.Health.write_available_fraction h);
   check_int "observed span" (Time_ns.ms 200) (Obs.Health.observed_ns h);
-  let count edge =
-    List.length
-      (List.filter
-         (fun (_, e) ->
-           match e with
-           | Obs.Trace.Health { edge = e'; _ } -> e' = edge
-           | _ -> false)
-         (Obs.Trace.events tr))
-  in
-  List.iter
-    (fun e -> check_int (Obs.Trace.health_edge_name e) 1 (count e))
+  Alcotest.(check (list string))
+    "observe returns each edge once, in order, on pg 0"
     [
-      Obs.Trace.Write_quorum_lost;
-      Obs.Trace.Write_quorum_regained;
-      Obs.Trace.Az_plus_one_lost;
-      Obs.Trace.Az_plus_one_regained;
+      "0 write_quorum_lost";
+      "0 az_plus_one_lost";
+      "0 write_quorum_regained";
+      "0 az_plus_one_regained";
     ]
+    (List.map
+       (fun (pg, e) -> Printf.sprintf "%d %s" pg (Obs.Health.edge_name e))
+       !fired)
 
 let test_cluster_health_edges () =
   let cluster =
-    Harness.Cluster.create
+    Harness.Cluster.create ~recorder_depth:Rings.max_depth
       { Harness.Cluster.default_config with seed = 5; n_pgs = 1 }
   in
   let obs = Harness.Cluster.obs cluster in
-  Obs.Ctx.enable_tracing obs;
   let sim = Harness.Cluster.sim cluster in
-  let tr = Obs.Ctx.trace obs in
+  (* Health edges land on the writer's recorder ring. *)
   let health_counts () =
     List.fold_left
-      (fun (wl, wr, al, ar) (_, e) ->
-        match e with
-        | Obs.Trace.Health { edge = Obs.Trace.Write_quorum_lost; _ } ->
-          (wl + 1, wr, al, ar)
-        | Obs.Trace.Health { edge = Obs.Trace.Write_quorum_regained; _ } ->
-          (wl, wr + 1, al, ar)
-        | Obs.Trace.Health { edge = Obs.Trace.Az_plus_one_lost; _ } ->
-          (wl, wr, al + 1, ar)
-        | Obs.Trace.Health { edge = Obs.Trace.Az_plus_one_regained; _ } ->
-          (wl, wr, al, ar + 1)
+      (fun (wl, wr, al, ar) (e : Recorder.Correlate.entry) ->
+        match e.event with
+        | Recorder.Event.Health_edge { edge; _ } -> (
+          check_bool "on the writer's ring" true
+            (e.role = Recorder.Event.Writer);
+          match edge with
+          | Obs.Health.Write_quorum_lost -> (wl + 1, wr, al, ar)
+          | Obs.Health.Write_quorum_regained -> (wl, wr + 1, al, ar)
+          | Obs.Health.Az_plus_one_lost -> (wl, wr, al + 1, ar)
+          | Obs.Health.Az_plus_one_regained -> (wl, wr, al, ar + 1))
         | _ -> (wl, wr, al, ar))
-      (0, 0, 0, 0) (Obs.Trace.events tr)
+      (0, 0, 0, 0)
+      (Recorder.Correlate.entries
+         (Rings.snapshot (Harness.Cluster.recorder cluster)))
   in
   let check_counts label (wl, wr, al, ar) =
     let gwl, gwr, gal, gar = health_counts () in
@@ -692,59 +730,48 @@ let test_cluster_health_edges () =
   Alcotest.(check bool) "availability dipped below 1" true (frac < 1.);
   Alcotest.(check bool) "but mostly up" true (frac > 0.5)
 
-(* ---- trace dropped counter ---- *)
-
-let test_trace_dropped () =
-  let tr = Obs.Trace.create ~capacity:3 () in
-  (* Disabled pushes neither store nor drop. *)
-  for i = 1 to 5 do
-    Obs.Trace.read tr ~at:i ~pg:0 Obs.Trace.Read_tracked
-  done;
-  check_int "disabled: nothing dropped" 0 (Obs.Trace.dropped tr);
-  Obs.Trace.enable tr;
-  for i = 1 to 5 do
-    Obs.Trace.read tr ~at:i ~pg:0 Obs.Trace.Read_tracked
-  done;
-  check_int "capacity accessor" 3 (Obs.Trace.capacity tr);
-  check_int "overflow counted" 2 (Obs.Trace.dropped tr);
-  Obs.Trace.clear tr;
-  check_int "clear resets dropped" 0 (Obs.Trace.dropped tr)
-
 (* ---- commit-path timelines / pg latch ---- *)
 
 let test_commit_path_timelines () =
   let reg = Obs.Registry.create () in
-  let tr = Obs.Trace.create () in
-  let cp = Obs.Commit_path.create ~registry:reg ~trace:tr () in
-  Obs.Commit_path.mark cp ~at:100 ~lsn:7 ~pg:1 Obs.Trace.Lsn_allocated;
-  Obs.Commit_path.mark cp ~at:500 ~lsn:7 Obs.Trace.Boxcar_flushed;
-  Obs.Commit_path.mark cp ~at:900 ~lsn:9 Obs.Trace.Lsn_allocated;
-  Obs.Commit_path.mark cp ~at:1200 ~lsn:9 ~member:3 ~pg:0 Obs.Trace.Node_acked;
+  let cp = Obs.Commit_path.create ~registry:reg () in
+  Obs.Commit_path.mark cp ~at:100 ~lsn:7 ~pg:1 Obs.Commit_path.Lsn_allocated;
+  Obs.Commit_path.mark cp ~at:500 ~lsn:7 Obs.Commit_path.Boxcar_flushed;
+  Obs.Commit_path.mark cp ~at:900 ~lsn:9 Obs.Commit_path.Lsn_allocated;
+  Obs.Commit_path.mark cp ~at:1200 ~lsn:9 ~pg:0 Obs.Commit_path.Node_acked;
   match Obs.Commit_path.timelines cp with
   | [ (7, pg7, tl7); (9, pg9, tl9) ] ->
     check_int "pg latched at allocation" 1 pg7;
     check_int "pg latched by a later stage" 0 pg9;
     check_int "stage time recorded" 500
-      tl7.(Obs.Trace.stage_index Obs.Trace.Boxcar_flushed);
+      tl7.(Obs.Commit_path.stage_index Obs.Commit_path.Boxcar_flushed);
     check_int "unobserved stage is -1" (-1)
-      tl7.(Obs.Trace.stage_index Obs.Trace.Commit_acked);
+      tl7.(Obs.Commit_path.stage_index Obs.Commit_path.Commit_acked);
     check_int "late-latched timeline keeps times" 1200
-      tl9.(Obs.Trace.stage_index Obs.Trace.Node_acked)
+      tl9.(Obs.Commit_path.stage_index Obs.Commit_path.Node_acked)
   | tls -> Alcotest.failf "expected 2 timelines, got %d" (List.length tls)
 
 (* ---- chrome export ---- *)
 
 let test_chrome_export_format () =
   let ctx = Obs.Ctx.create () in
-  Obs.Ctx.enable_tracing ctx;
+  let rings = Rings.create () in
+  Rings.enable rings ~depth:Rings.min_depth;
+  Rings.register rings ~node:0 ~role:Recorder.Event.Writer;
   let cp = Obs.Ctx.commit_path ctx in
-  Obs.Commit_path.mark cp ~at:1_000 ~lsn:1 ~pg:0 Obs.Trace.Lsn_allocated;
-  Obs.Commit_path.mark cp ~at:2_000 ~lsn:1 Obs.Trace.Boxcar_flushed;
-  Obs.Commit_path.mark cp ~at:3_000 ~lsn:1 ~member:2 Obs.Trace.Node_acked;
-  Obs.Commit_path.mark cp ~at:4_000 ~lsn:1 Obs.Trace.Commit_acked;
-  Obs.Trace.read (Obs.Ctx.trace ctx) ~at:2_500 ~pg:0 Obs.Trace.Read_tracked;
+  Obs.Commit_path.mark cp ~at:1_000 ~lsn:1 ~pg:0 Obs.Commit_path.Lsn_allocated;
+  Obs.Commit_path.mark cp ~at:2_000 ~lsn:1 Obs.Commit_path.Boxcar_flushed;
+  Obs.Commit_path.mark cp ~at:3_000 ~lsn:1 Obs.Commit_path.Node_acked;
+  Obs.Commit_path.mark cp ~at:4_000 ~lsn:1 Obs.Commit_path.Commit_acked;
+  (* Network traffic is not an instant; a membership phase is. *)
+  Rings.note rings ~node:0 ~at:2_400
+    (Recorder.Event.Send
+       { kind = Recorder.Event.Write_batch; peer = 1; pg = 0; lsn_lo = 1; lsn_hi = 1 });
+  Rings.note rings ~node:0 ~at:2_500
+    (Recorder.Event.Membership_change
+       { pg = 0; epoch = 2; phase = Recorder.Event.Change_begun });
   let evs =
-    match Obs.Chrome_export.to_json ctx with
+    match Recorder.Chrome_export.to_json ctx rings with
     | Obs.Json.Obj fields -> (
       (match List.assoc_opt "displayTimeUnit" fields with
       | Some (Obs.Json.String "ms") -> ()
@@ -776,7 +803,13 @@ let test_chrome_export_format () =
     (List.exists
        (fun ev -> field "name" ev = Some (Obs.Json.String "commit lsn=1"))
        begins);
-  check_int "ring read became one instant" 1 (List.length (with_ph "i"));
+  (match with_ph "i" with
+  | [ ev ] ->
+    Alcotest.(check (option string)) "ring membership event became the instant"
+      (Some "membership begun")
+      (match field "name" ev with Some (Obs.Json.String n) -> Some n | _ -> None);
+    check_bool "on pg 0's lane" true (field "tid" ev = Some (Obs.Json.Int 1))
+  | evs -> Alcotest.failf "expected one instant, got %d" (List.length evs));
   Alcotest.(check bool) "lane metadata present" true
     (List.length (with_ph "M") >= 1)
 

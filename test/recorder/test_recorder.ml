@@ -15,7 +15,8 @@ let check_string = Alcotest.(check string)
 (* ---- event encode/decode ---- *)
 
 (* Any event the constructors can express — ids and LSNs both in-range and
-   -1 ("not applicable"), every message kind and drop cause. *)
+   -1 ("not applicable"), every message kind, drop cause, membership phase
+   and health edge. *)
 let event_gen =
   let open QCheck.Gen in
   let id = frequency [ (5, int_range 0 99); (1, return (-1)) ] in
@@ -73,6 +74,13 @@ let event_gen =
       (let* vcl = lsn in
        let* vdl = lsn in
        return (Event.Recovery_finish { vcl; vdl }));
+      (let* pg = id in
+       let* epoch = int_range 0 20 in
+       let* phase = oneofl Event.all_membership_phases in
+       return (Event.Membership_change { pg; epoch; phase }));
+      (let* pg = id in
+       let* edge = oneofl Obs.Health.all_edges in
+       return (Event.Health_edge { pg; edge }));
     ]
 
 let prop_event_roundtrip =
@@ -113,37 +121,43 @@ let test_event_names () =
     (fun c ->
       check_bool (Event.drop_cause_name c) true
         (Event.drop_cause_of_name (Event.drop_cause_name c) = Some c))
-    Event.all_drop_causes
+    Event.all_drop_causes;
+  List.iter
+    (fun p ->
+      check_bool (Event.membership_phase_name p) true
+        (Event.membership_phase_of_name (Event.membership_phase_name p) = Some p))
+    Event.all_membership_phases;
+  List.iter
+    (fun e ->
+      check_bool (Obs.Health.edge_name e) true
+        (Obs.Health.edge_of_name (Obs.Health.edge_name e) = Some e))
+    Obs.Health.all_edges
 
 (* ---- rings ---- *)
 
 let test_ring_depth_bounds () =
-  Rings.reset ();
   check_bool "defaults in range" true
     (Rings.default_depth >= Rings.min_depth
     && Rings.default_depth <= Rings.max_depth);
-  Alcotest.check_raises "below min"
-    (Invalid_argument
-       (Printf.sprintf "Recorder.Rings.set_depth: %d outside [%d, %d]"
-          (Rings.min_depth - 1) Rings.min_depth Rings.max_depth)) (fun () ->
-      Rings.set_depth (Rings.min_depth - 1));
-  Alcotest.check_raises "above max"
-    (Invalid_argument
-       (Printf.sprintf "Recorder.Rings.set_depth: %d outside [%d, %d]"
-          (Rings.max_depth + 1) Rings.min_depth Rings.max_depth)) (fun () ->
-      Rings.set_depth (Rings.max_depth + 1));
-  Rings.reset ()
+  let raises depth =
+    Alcotest.check_raises (Printf.sprintf "depth %d" depth)
+      (Invalid_argument
+         (Printf.sprintf "Recorder.Rings.enable: depth %d outside [%d, %d]"
+            depth Rings.min_depth Rings.max_depth)) (fun () ->
+        Rings.enable (Rings.create ()) ~depth)
+  in
+  raises (Rings.min_depth - 1);
+  raises (Rings.max_depth + 1)
 
 let test_ring_eviction () =
-  Rings.reset ();
-  Rings.set_depth Rings.min_depth;
-  Rings.enable ();
-  Rings.register ~node:3 ~role:Event.Storage;
+  let r = Rings.create () in
+  Rings.enable r ~depth:Rings.min_depth;
+  Rings.register r ~node:3 ~role:Event.Storage;
   for i = 1 to Rings.min_depth + 4 do
-    Rings.note ~node:3 ~at:i (Event.Vcl_advance { vcl = i })
+    Rings.note r ~node:3 ~at:i (Event.Vcl_advance { vcl = i })
   done;
-  let snap = Rings.snapshot () in
-  (match snap.Rings.nodes with
+  let snap = Rings.snapshot r in
+  match snap.Rings.nodes with
   | [ r ] ->
     check_int "node id" 3 r.Rings.node;
     check_bool "role kept" true (r.Rings.role = Event.Storage);
@@ -160,33 +174,90 @@ let test_ring_eviction () =
     | (at_last, _) :: _ ->
       check_int "newest retained" (Rings.min_depth + 4) at_last
     | [] -> Alcotest.fail "empty ring")
-  | rings -> Alcotest.failf "expected one ring, got %d" (List.length rings));
-  Rings.disable ();
-  Rings.reset ()
+  | rings -> Alcotest.failf "expected one ring, got %d" (List.length rings)
 
 let test_ring_disabled_is_noop () =
-  Rings.reset ();
-  check_bool "disabled by default" false (Rings.enabled ());
-  Rings.note ~node:9 ~at:1 Event.Started;
-  check_int "nothing recorded while disabled" 0
-    (List.length (Rings.snapshot ()).Rings.nodes);
-  Rings.reset ()
+  let r = Rings.create () in
+  check_bool "off by default" false (Rings.enabled r);
+  Rings.register r ~node:9 ~role:Event.Storage;
+  Rings.note r ~node:9 ~at:1 Event.Started;
+  check_int "nothing recorded while off" 0
+    (List.length (Rings.snapshot r).Rings.nodes);
+  (* Switching on does not resurrect what was noted while off. *)
+  Rings.enable r ~depth:Rings.min_depth;
+  match (Rings.snapshot r).Rings.nodes with
+  | [ n ] -> check_int "ring starts empty" 0 (List.length n.Rings.events)
+  | ns -> Alcotest.failf "expected one ring, got %d" (List.length ns)
+
+(* ---- per-cluster recorders ---- *)
+
+let small_cluster ?recorder_depth seed =
+  let c =
+    Harness.Cluster.create ?recorder_depth
+      { Harness.Cluster.default_config with seed; n_pgs = 1 }
+  in
+  ignore (Harness.Cluster.add_replica c : Aurora_core.Replica.t);
+  c
+
+let run_briefly c =
+  let sim = Harness.Cluster.sim c in
+  let db = Harness.Cluster.db c in
+  let txn = Aurora_core.Database.begin_txn db in
+  Aurora_core.Database.put db ~txn ~key:"k" ~value:"v";
+  Aurora_core.Database.commit db ~txn (fun _ -> ());
+  Simcore.Sim.run_until sim
+    (Simcore.Time_ns.add (Simcore.Sim.now sim) (Simcore.Time_ns.ms 50))
+
+let roles c =
+  List.map
+    (fun (r : Rings.node_ring) -> Event.role_name r.Rings.role)
+    (Rings.snapshot (Harness.Cluster.recorder c)).Rings.nodes
+  |> List.sort_uniq String.compare
+
+(* Two clusters in one process: only the one recording keeps events. *)
+let test_two_clusters () =
+  let on = small_cluster ~recorder_depth:Rings.default_depth 1 in
+  let off = small_cluster 1 in
+  run_briefly on;
+  run_briefly off;
+  let events c =
+    List.fold_left
+      (fun acc (r : Rings.node_ring) -> acc + List.length r.Rings.events)
+      0
+      (Rings.snapshot (Harness.Cluster.recorder c)).Rings.nodes
+  in
+  check_bool "recording cluster recorded" true (events on > 0);
+  check_bool "other cluster's recorder is off" false
+    (Rings.enabled (Harness.Cluster.recorder off));
+  check_int "other cluster recorded nothing" 0 (events off)
+
+(* Roles are registered at build time, so switching the recorder on after
+   [Cluster.create] still labels every node — none is [Unknown]. *)
+let test_roles_before_enable () =
+  let c = small_cluster 2 in
+  Rings.enable (Harness.Cluster.recorder c) ~depth:Rings.default_depth;
+  run_briefly c;
+  Alcotest.(check (list string))
+    "writer, storage and replica rings" [ "replica"; "storage"; "writer" ]
+    (roles c)
 
 (* ---- artifact round-trip ---- *)
 
-let test_artifact_roundtrip () =
-  Rings.reset ();
-  Rings.enable ();
-  Rings.register ~node:0 ~role:Event.Writer;
-  Rings.register ~node:1 ~role:Event.Storage;
-  Rings.note ~node:0 ~at:10
+(* A small two-node recorder with a send, its receive, an SCL advance and
+   a partition drop. *)
+let sample_rings () =
+  let r = Rings.create () in
+  Rings.enable r ~depth:Rings.min_depth;
+  Rings.register r ~node:0 ~role:Event.Writer;
+  Rings.register r ~node:1 ~role:Event.Storage;
+  Rings.note r ~node:0 ~at:10
     (Event.Send
        { kind = Event.Write_batch; peer = 1; pg = 0; lsn_lo = 5; lsn_hi = 9 });
-  Rings.note ~node:1 ~at:12
+  Rings.note r ~node:1 ~at:12
     (Event.Receive
        { kind = Event.Write_batch; peer = 0; pg = 0; lsn_lo = 5; lsn_hi = 9 });
-  Rings.note ~node:1 ~at:13 (Event.Scl_advance { pg = 0; scl = 9; stored = 5 });
-  Rings.note ~node:0 ~at:20
+  Rings.note r ~node:1 ~at:13 (Event.Scl_advance { pg = 0; scl = 9; stored = 5 });
+  Rings.note r ~node:0 ~at:20
     (Event.Drop
        {
          kind = Event.Write_batch;
@@ -196,7 +267,9 @@ let test_artifact_roundtrip () =
          lsn_hi = 11;
          cause = Event.Partitioned;
        });
-  let net =
+  r
+
+let sample_net =
     {
       Artifact.sent = 4;
       delivered = 3;
@@ -218,10 +291,10 @@ let test_artifact_roundtrip () =
           };
         ];
     }
-  in
-  let a = Artifact.make ~snapshot:(Rings.snapshot ()) ~net () in
-  Rings.disable ();
-  Rings.reset ();
+
+let test_artifact_roundtrip () =
+  let net = sample_net in
+  let a = Artifact.make ~snapshot:(Rings.snapshot (sample_rings ())) ~net () in
   let txt = Artifact.to_string a in
   (match Artifact.of_string txt with
   | Error e -> Alcotest.failf "artifact parse failed: %s" e
@@ -240,6 +313,41 @@ let test_artifact_roundtrip () =
   in
   check_bool "drop cause surfaced" true (contains explained "drop(partitioned)");
   check_bool "per-link stats surfaced" true (contains explained "link n0->n1")
+
+(* Every parser must return an error on malformed input and never raise:
+   truncate a valid artifact (with random extra events on its rings)
+   anywhere before its last byte, or overwrite one byte with anything.  A
+   truncation must be an [Error]; a mutation may still be a valid
+   artifact (a digit for a digit), but then it must reprint and reparse
+   to itself. *)
+let prop_artifact_corruption =
+  let gen =
+    let open QCheck.Gen in
+    let* extra = list_size (int_range 0 6) event_gen in
+    let r = sample_rings () in
+    List.iteri (fun i ev -> Rings.note r ~node:(i land 1) ~at:(30 + i) ev) extra;
+    let txt =
+      Artifact.to_string
+        (Artifact.make ~snapshot:(Rings.snapshot r) ~net:sample_net ())
+    in
+    let* truncate = bool in
+    let* pos = int_bound (String.length (String.trim txt) - 1) in
+    let* c = char in
+    return
+      ( truncate,
+        if truncate then String.sub txt 0 pos
+        else String.mapi (fun i x -> if i = pos then c else x) txt )
+  in
+  QCheck.Test.make ~name:"of_string never raises on corruption" ~count:300
+    (QCheck.make ~print:(fun (t, s) -> Printf.sprintf "truncated=%b\n%s" t s) gen)
+    (fun (truncated, txt) ->
+      match Artifact.of_string txt with
+      | exception e ->
+        QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e)
+      | Error _ -> true
+      | Ok a ->
+        (not truncated)
+        && Artifact.of_string (Artifact.to_string a) = Ok a)
 
 (* ---- crash/recover ordering across the live stack ---- *)
 
@@ -307,6 +415,11 @@ let test_crash_recover_ordering () =
     in
     go 0 false writer_ring.Rings.events
   in
+  let count p = List.length (List.filter (fun (_, ev) -> p ev) writer_ring.Rings.events) in
+  check_int "one recovery, one Recovery_start" 1
+    (count (function Event.Recovery_start _ -> true | _ -> false));
+  check_int "one recovery, one Recovery_finish" 1
+    (count (function Event.Recovery_finish _ -> true | _ -> false));
   check_bool "Crashed before Recovery_start" true (crashed < rec_start);
   check_bool "Recovery_start before Recovery_finish" true
     (rec_start < rec_finish);
@@ -381,9 +494,16 @@ let () =
           Alcotest.test_case "eviction" `Quick test_ring_eviction;
           Alcotest.test_case "disabled is a no-op" `Quick
             test_ring_disabled_is_noop;
+          Alcotest.test_case "two clusters, one recording" `Quick
+            test_two_clusters;
+          Alcotest.test_case "roles known before enable" `Quick
+            test_roles_before_enable;
         ] );
       ( "artifact",
-        [ Alcotest.test_case "round-trip + explain" `Quick test_artifact_roundtrip ] );
+        [
+          Alcotest.test_case "round-trip + explain" `Quick test_artifact_roundtrip;
+          qc prop_artifact_corruption;
+        ] );
       ( "stack",
         [
           Alcotest.test_case "crash/recover fencing order" `Slow
