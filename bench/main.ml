@@ -50,14 +50,18 @@ let bench_consistency () =
 
 let bench_quorum_eval () =
   let open Quorum in
-  let members, rule = E.scheme_rule Harness.Cluster.Tiered in
-  let ids = List.map (fun (m : Membership.member) -> m.Membership.id) members in
+  let m = Harness.Cluster.layout_membership Harness.Cluster.Tiered in
+  let rule = Membership.rule m in
+  let ids = Member_id.Set.elements (Membership.member_ids m) in
   let subset = Member_id.set_of_list (List.filteri (fun i _ -> i < 4) ids) in
   Bechamel.Staged.stage (fun () ->
       ignore (Quorum_set.satisfied rule.Quorum_set.Rule.write subset : bool))
 
 let bench_quorum_overlap () =
-  let _, rule = E.scheme_rule Harness.Cluster.Tiered in
+  let rule =
+    Quorum.Membership.rule
+      (Harness.Cluster.layout_membership Harness.Cluster.Tiered)
+  in
   Bechamel.Staged.stage (fun () ->
       ignore
         (Quorum.Quorum_set.overlaps ~read:rule.Quorum.Quorum_set.Rule.read

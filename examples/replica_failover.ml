@@ -73,16 +73,7 @@ let () =
     (Quorum.Epoch.to_int (Aurora_core.Volume.volume_epoch (Database.volume new_db)));
 
   (* Audit durability through the failover. *)
-  let writes = Txn_gen.writes_in_issue_order gen in
-  let valid = Hashtbl.create 256 in
-  List.iter
-    (fun (key, value, acked) ->
-      if acked then Hashtbl.replace valid key [ value ]
-      else
-        match Hashtbl.find_opt valid key with
-        | Some vs -> Hashtbl.replace valid key (value :: vs)
-        | None -> ())
-    writes;
+  let valid = Txn_gen.acceptable_values gen in
   let lost = ref 0 and checked = ref 0 in
   Hashtbl.iter
     (fun key valid_values ->

@@ -60,7 +60,8 @@ let () =
   print_endline "\nfault tolerance (deterministic quorum-set check):";
   List.iter
     (fun (name, layout) ->
-      let members, rule = Harness.Experiments.scheme_rule layout in
+      let m = Cluster.layout_membership layout in
+      let members = Membership.members m and rule = Membership.rule m in
       let t = FM.az_tolerance ~members ~rule in
       Printf.printf
         "  %-28s survives AZ: %b, survives AZ+1 (repairable): %b\n" name
@@ -68,7 +69,8 @@ let () =
     [ ("6 full segments", Cluster.V6); ("3 full + 3 tail", Cluster.Tiered) ];
 
   (* Show the tiered write quorum in both of its shapes. *)
-  let members, rule = Harness.Experiments.scheme_rule Cluster.Tiered in
+  let m = Cluster.layout_membership Cluster.Tiered in
+  let members = Membership.members m and rule = Membership.rule m in
   Format.printf "\ntiered rule: %a@." Quorum_set.Rule.pp rule;
   let fulls =
     List.filter_map

@@ -66,15 +66,11 @@ let rng t = t.rng
 let obs t = t.obs
 let recorder t = t.recorder
 
-let layout_members = function
-  | V6 -> Layout.aurora_v6 ()
-  | Tiered -> Layout.aurora_tiered ()
-  | V3 -> Layout.three_copies ()
-
-let layout_scheme = function
-  | V6 -> Layout.scheme_4_of_6
-  | Tiered -> Layout.scheme_tiered
-  | V3 -> Layout.scheme_2_of_3
+let layout_membership = function
+  | V6 -> Membership.create ~scheme:Layout.scheme_4_of_6 (Layout.aurora_v6 ())
+  | Tiered ->
+    Membership.create ~scheme:Layout.scheme_tiered (Layout.aurora_tiered ())
+  | V3 -> Membership.create ~scheme:Layout.scheme_2_of_3 (Layout.three_copies ())
 
 let make_storage_node_raw ~sim ~rng ~net ~s3 ~storage_config ~addr_alloc
     ~az_of ~obs ~recorder ~az =
@@ -335,11 +331,11 @@ let create ?recorder_depth cfg =
       | _ -> Some cfg.inter_az_latency);
   let pg_nodes = Pg_id.Tbl.create cfg.n_pgs in
   (* Build PGs: nodes + segments + membership. *)
-  let scheme = layout_scheme cfg.layout in
   let volume_groups =
     List.init cfg.n_pgs (fun i ->
         let pg_id = Pg_id.of_int i in
-        let members = layout_members cfg.layout in
+        let membership = layout_membership cfg.layout in
+        let members = Membership.members membership in
         let slots =
           List.map
             (fun (m : Membership.member) ->
@@ -358,7 +354,6 @@ let create ?recorder_depth cfg =
         in
         Pg_id.Tbl.replace pg_nodes pg_id
           { slots; next_member_id = List.length members };
-        let membership = Membership.create ~scheme members in
         let addrs =
           List.map
             (fun slot ->
@@ -626,7 +621,8 @@ let replacement_caught_up t pg ~replacement =
       Wal.Lsn.(Storage.Segment.scl seg >= target))
 
 let grow_volume t =
-  let members = layout_members t.cfg.layout in
+  let membership = layout_membership t.cfg.layout in
+  let members = Membership.members membership in
   let slots =
     List.map
       (fun (m : Membership.member) ->
@@ -634,7 +630,6 @@ let grow_volume t =
         (m, node))
       members
   in
-  let membership = Membership.create ~scheme:(layout_scheme t.cfg.layout) members in
   let addrs =
     List.map (fun (m, node) -> (m.Membership.id, Storage.Storage_node.addr node)) slots
   in

@@ -14,6 +14,12 @@ type layout = V6 | Tiered | V3
 (** Protection-group design: Aurora's 6-copy (4/6 write, 3/6 read), the
     §4.2 full/tail mix, or the Figure 1 2/3 strawman. *)
 
+val layout_membership : layout -> Membership.t
+(** A fresh protection group's initial membership in this layout: its
+    roster (member ids ascending from 0, in AZ order) and quorum scheme.
+    Every PG the cluster builds starts from it; E1/E10 read its roster and
+    rule. *)
+
 type config = {
   seed : int;
   n_pgs : int;

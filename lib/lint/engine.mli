@@ -1,32 +1,40 @@
-(** Tree walking, parsing, and rule dispatch.
+(** The lint engine: source discovery, [.cmt] loading, and rule dispatch.
 
-    The engine turns on-disk paths into repo-root-relative logical paths
-    ([../../lib/core/foo.ml] → [lib/core/foo.ml]) before consulting rules or
-    reporting, so findings and baseline keys are identical whether the tool
-    runs from the repo root, from a dune sandbox, or from a test directory.
+    Every rule runs over the compiler's typed trees, so each scanned source
+    must have been compiled first ([dune build @check]); a source with no
+    [.cmt] is itself a finding ([uncompiled]).  Paths are turned into
+    repo-root-relative logical paths ([../../lib/core/foo.ml] →
+    [lib/core/foo.ml]) before rules or reports see them, so findings and
+    baseline keys are identical whether the tool runs from the repo root,
+    from the dune build context, or from a test directory.
 
-    Directories named [_build], [.git], or [fixtures] are skipped —
-    [fixtures] so that the lint test suite's deliberately-broken snippets
-    under [test/lint/fixtures/] never count against the real tree. *)
-
-val logical_path : string -> string
-(** Strip leading [./] and [../] segments. *)
+    Directories named [_build], [.git], or [fixtures], and dot-directories,
+    are skipped — [fixtures] so that the lint test suite's deliberately
+    broken code under [test/lint/fixtures/] never counts against the real
+    tree. *)
 
 val files_under : string list -> string list
 (** All [.ml]/[.mli] files under the given root directories (on-disk paths,
     sorted, skip-list applied).  A root that does not exist contributes
     nothing. *)
 
-val lint_source : path:string -> string -> Finding.t list
-(** [lint_source ~path contents] parses [contents] as an implementation and
-    runs every expression-level rule active for logical [path].  A syntax
-    error yields a single [parse-error] finding rather than an exception:
-    unparseable sim code must fail the gate loudly.  Findings are sorted. *)
+val sources : string list -> string list
+(** {!files_under} as logical paths. *)
 
-val lint_file : string -> Finding.t list
-(** Read and lint one on-disk [.ml] file ([.mli] files get a parse check
-    only). *)
+val units : string list -> Typed_loader.unit_info list
+(** Every implementation [.cmt] for the given source roots: read from
+    [_build/default/<root>] when that exists (running from the repo root),
+    from the root itself otherwise (inside the build context). *)
 
-val lint_tree : roots:string list -> Finding.t list
-(** Lint every source file under [roots] and apply the file-set rules
-    (mli-coverage).  Sorted and deduplicated. *)
+val lint_units :
+  ?config:Typed_rules.config ->
+  sources:string list ->
+  Typed_loader.unit_info list ->
+  Finding.t list
+(** Summarize and check an explicit unit list against the given logical
+    source paths (tests feed fixture units here).  Sorted and
+    deduplicated.  [config] defaults to {!Typed_rules.default}. *)
+
+val lint :
+  ?config:Typed_rules.config -> roots:string list -> unit -> Finding.t list
+(** [lint_units ~sources:(sources roots) (units roots)]. *)

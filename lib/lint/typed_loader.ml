@@ -1,7 +1,7 @@
 (* Load the compiler's .cmt typed trees out of _build.  Dune emits
    bin-annot files for every module it compiles; this module walks a
    directory tree (normally [_build/default/lib] or, when the driver runs
-   inside the build sandbox, just [lib]), unmarshals each implementation,
+   inside the build context, just [lib]), unmarshals each implementation,
    and hands back the typedtree plus repo-root-relative source path. *)
 
 type unit_info = {
@@ -28,9 +28,13 @@ let normalize_modname m =
   in
   go 0
 
-let has_suffix ~suffix s =
-  let ls = String.length s and lx = String.length suffix in
-  ls >= lx && String.sub s (ls - lx) lx = suffix
+let logical_path p =
+  let rec strip parts =
+    match parts with
+    | ("." | "..") :: rest -> strip rest
+    | parts -> parts
+  in
+  String.concat "/" (strip (String.split_on_char '/' p))
 
 let read_unit path =
   match Cmt_format.read_cmt path with
@@ -38,13 +42,13 @@ let read_unit path =
   | cmt -> (
     match (cmt.Cmt_format.cmt_annots, cmt.Cmt_format.cmt_sourcefile) with
     | Cmt_format.Implementation structure, Some src
-      when has_suffix ~suffix:".ml" src ->
+      when String.ends_with ~suffix:".ml" src ->
       (* Library wrapper modules dune generates ([simcore.ml-gen]) fail the
          [.ml] suffix test and are skipped — they contain only aliases. *)
       Some
         {
           modname = normalize_modname cmt.Cmt_format.cmt_modname;
-          source = Engine.logical_path src;
+          source = logical_path src;
           structure;
         }
     | _ -> None)
@@ -62,7 +66,7 @@ let cmts_under ~skip_fixtures roots =
           if Sys.is_directory path then begin
             if not (skip_fixtures && entry = "fixtures") then walk path
           end
-          else if has_suffix ~suffix:".cmt" path then acc := path :: !acc)
+          else if String.ends_with ~suffix:".cmt" path then acc := path :: !acc)
         entries
   in
   List.iter (fun root -> if Sys.file_exists root then walk root) roots;

@@ -1,11 +1,13 @@
 (** Loading typed trees ([.cmt] bin-annot files) from the dune build tree.
 
-    The typed lint tier analyzes what the compiler actually saw — resolved
+    Every lint rule analyzes what the compiler actually saw — resolved
     paths, inferred types, constructor representations — rather than
     syntax.  Dune writes a [.cmt] next to every compiled module (under
     [<dir>/.<lib>.objs/byte/]); pointing {!load_tree} at
     [_build/default/lib] (or [lib] when already inside the build context)
-    yields one {!unit_info} per implementation. *)
+    yields one {!unit_info} per implementation.  Executables and tests load
+    the same way: their units map back to [bin/aurora_cli.ml],
+    [test/core/test_core.ml], and so on. *)
 
 type unit_info = {
   modname : string;
@@ -18,6 +20,11 @@ type unit_info = {
 
 val normalize_modname : string -> string
 (** [Simcore__Sim] → [Simcore.Sim]. *)
+
+val logical_path : string -> string
+(** Strip leading [./] and [../] segments, so a path reads the same
+    ([lib/core/foo.ml]) whether the tool runs from the repo root, from the
+    build context, or from a test directory. *)
 
 val read_unit : string -> unit_info option
 (** Read one [.cmt].  [None] for interfaces, packs, unreadable files, and

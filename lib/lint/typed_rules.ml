@@ -1,19 +1,17 @@
-(* The typed-tier rule set: pure functions over {!Typed_summary} unit
-   summaries.  See DESIGN.md §6 for the catalogue and escape hatches. *)
+(* The rule set: pure functions over {!Typed_summary} unit summaries plus
+   the on-disk source list.  See DESIGN.md §6 for the catalogue and escape
+   hatches. *)
 
 type config = {
   hot_roots : string list;
       (* Qualified names of hot entry points; allocation reachable from any
          of them (through repo code) is a finding. *)
-  sim_scope : string -> bool;  (* logical source path is sim-scoped *)
+  lib_scope : string -> bool;
+      (* logical source paths the call-graph and coverage rules see *)
   describe_checks : (string * string) list;  (* (type, total function) *)
   emit_checks : (string * string) list;  (* (type, defining-dir prefix) *)
   poly_types : string list;  (* protocol types: no polymorphic compare *)
 }
-
-let has_prefix ~prefix s =
-  String.length s >= String.length prefix
-  && String.sub s 0 (String.length prefix) = prefix
 
 let default =
   {
@@ -37,7 +35,7 @@ let default =
         "Aurora_core.Buffer_cache.touch";
         "Aurora_core.Buffer_cache.evict_pressure";
       ];
-    sim_scope = (fun src -> has_prefix ~prefix:"lib/" src);
+    lib_scope = (fun src -> String.starts_with ~prefix:"lib/" src);
     describe_checks = [ ("Storage.Protocol.t", "Storage.Protocol.describe") ];
     emit_checks =
       [
@@ -57,22 +55,124 @@ let default =
       ];
   }
 
+(* ---------------- path-scoped rules ---------------- *)
+
+(* Rules whose scope is a property of the source path.  Paths are
+   repo-root-relative logical paths ([lib/core/database.ml]). *)
+type scoped = {
+  id : string;
+  description : string;
+  applies : string -> bool;
+  allow : string list;  (* path prefixes exempted, with justification *)
+}
+
+let under dir path = String.starts_with ~prefix:(dir ^ "/") path
+
+(* Sim code: everything compiled into the simulator, its CLI, and the
+   benchmark harness.  Wall-clock timing of the harness itself is the one
+   legitimate use of real time, and Perf.Clock is the one module allowed to
+   perform it — everything else (bench/ included) must route wall-clock
+   reads through it. *)
+let sim_code path =
+  under "lib" path || under "bin" path || under "bench" path
+
+(* Modules whose hash-table iteration order can leak into JSON / trace /
+   time-series output.  lib/obs is the whole observability layer; report
+   renders experiment output directly; lib/vopr renders violation
+   lists and repro digests whose byte-identity across reruns is the whole
+   point; lib/recorder renders flight-recorder artifacts and explain
+   timelines under the same byte-stability contract. *)
+let output_feeding path =
+  under "lib/obs" path
+  || under "lib/vopr" path
+  || under "lib/recorder" path
+  || path = "lib/harness/report.ml"
+
+let determinism =
+  {
+    id = "determinism";
+    description =
+      "no Unix.*, Sys.time, Random.*, or Hashtbl.hash in sim code; route \
+       sim time through Simcore.Time_ns, randomness through Simcore.Rng, \
+       and harness wall-clock through Perf.Clock";
+    applies = sim_code;
+    (* The perf layer's wall-clock gateway: the single audited module that
+       may read real time (for benchmark reports and profiling probes, never
+       for simulated behaviour). *)
+    allow = [ "lib/perf/clock.ml" ];
+  }
+
+let stable_iteration =
+  {
+    id = "stable-iteration";
+    description =
+      "no Hashtbl.iter/fold in modules that feed JSON/trace/series output; \
+       use Obs.Stable.sorted_bindings so emission order is key-sorted";
+    applies = output_feeding;
+    (* Stable is the one audited place allowed to fold a hash table: it
+       exists to sort the bindings before anyone can observe their order. *)
+    allow = [ "lib/obs/stable.ml" ];
+  }
+
+let lsn_arith =
+  {
+    id = "lsn-arith";
+    description =
+      "no raw integer arithmetic on LSN-carrying values outside \
+       lib/wal/lsn.ml; use Lsn.next/Lsn.add or keep the arithmetic behind \
+       the Lsn interface";
+    applies = (fun _ -> true);
+    allow = [ "lib/wal/lsn.ml" ];
+  }
+
+let mli_coverage =
+  {
+    id = "mli-coverage";
+    description = "every lib/**/*.ml must have a matching .mli";
+    applies = under "lib";
+    allow = [];
+  }
+
+(* The guarantee that nothing escapes the rules: every implementation under
+   the scanned roots must have a typed tree.  A file that does not parse,
+   or that no dune stanza builds, has none. *)
+let uncompiled =
+  {
+    id = "uncompiled";
+    description =
+      "every .ml under the scanned roots has a .cmt, so no source escapes \
+       the rules (a file that does not compile or that no dune stanza \
+       builds is a finding)";
+    applies = (fun _ -> true);
+    allow = [];
+  }
+
+let active r path =
+  r.applies path
+  && not (List.exists (fun a -> a = path || under a path) r.allow)
+
 let catalogue =
-  [
-    ( "typed-hot-alloc",
-      "no allocation reachable from a hot entry point ([@alloc_ok] to \
-       exempt)" );
-    ( "typed-sim-global",
-      "no top-level mutable state in lib/ unless annotated [@@sim_global]" );
-    ( "typed-describe-coverage",
-      "every Storage.Protocol constructor handled in Protocol.describe" );
-    ( "typed-event-emit",
-      "every Recorder.Event constructor emitted by some non-recorder module"
-    );
-    ( "typed-poly-compare",
-      "no polymorphic compare on protocol types (typed, catches local \
-       bindings)" );
-  ]
+  List.map
+    (fun r -> (r.id, r.description))
+    [ determinism; stable_iteration; lsn_arith; mli_coverage; uncompiled ]
+  @ [
+      ( "typed-hot-alloc",
+        "no allocation reachable from a hot entry point ([@alloc_ok] to \
+         exempt)" );
+      ( "typed-sim-global",
+        "no top-level mutable state in lib/ unless annotated [@@sim_global]"
+      );
+      ( "typed-describe-coverage",
+        "every Storage.Protocol constructor handled in Protocol.describe" );
+      ( "typed-event-emit",
+        "every Recorder.Event constructor emitted by some lib/ module \
+         outside lib/recorder" );
+      ( "typed-poly-compare",
+        "no polymorphic =, <>, <, compare, min, max, ... on protocol types \
+         (Lsn.t, Txn_id.t, Block_id.t, Epoch.t, Member_id.t, Pg_id.t, \
+         Addr.t), type-resolved; use the module's own equal/compare/min/max"
+      );
+    ]
 
 open Typed_summary
 
@@ -142,26 +242,23 @@ let hot_alloc cfg units =
 
 (* ---------------- sim-state purity ---------------- *)
 
-let sim_global cfg units =
+let sim_global units =
   List.concat_map
     (fun u ->
-      if not (cfg.sim_scope u.u_source) then []
-      else
-        List.filter_map
-          (fun b ->
-            match b.b_mutable_evidence with
-            | Some (line, col, desc)
-              when (not b.b_is_function) && not b.b_sim_global ->
-              Some
-                (Finding.make ~rule:"typed-sim-global" ~file:u.u_source ~line
-                   ~col
-                   (Printf.sprintf
-                      "top-level mutable state %s (%s): keep it in a value \
-                       the caller owns, or annotate [@@sim_global] with the \
-                       reason"
-                      b.b_name desc))
-            | _ -> None)
-          u.u_bindings)
+      List.filter_map
+        (fun b ->
+          match b.b_mutable_evidence with
+          | Some (line, col, desc)
+            when (not b.b_is_function) && not b.b_sim_global ->
+            Some
+              (Finding.make ~rule:"typed-sim-global" ~file:u.u_source ~line
+                 ~col
+                 (Printf.sprintf
+                    "top-level mutable state %s (%s): keep it in a value the \
+                     caller owns, or annotate [@@sim_global] with the reason"
+                    b.b_name desc))
+          | _ -> None)
+        u.u_bindings)
     units
 
 (* ---------------- protocol describe coverage ---------------- *)
@@ -233,7 +330,8 @@ let event_emit cfg units =
         let emitted = Hashtbl.create 32 in
         List.iter
           (fun u ->
-            if not (has_prefix ~prefix:defining_prefix u.u_source) then
+            if not (String.starts_with ~prefix:defining_prefix u.u_source)
+            then
               List.iter
                 (fun b ->
                   List.iter
@@ -272,36 +370,124 @@ let defining_source units ty =
     | None -> None)
 
 let poly_compare cfg units =
-  let findings = ref [] in
-  List.iter
+  List.concat_map
     (fun u ->
-      List.iter
-        (fun b ->
-          List.iter
-            (fun h ->
-              let in_defining_module =
-                match defining_source units h.p_ty with
-                | Some src -> String.equal src u.u_source
-                | None -> false
-              in
-              if
-                List.exists (String.equal h.p_ty) cfg.poly_types
-                && not in_defining_module
-              then
-                findings :=
-                  Finding.make ~rule:"typed-poly-compare" ~file:u.u_source
-                    ~line:h.p_line ~col:h.p_col
-                    (Printf.sprintf
-                       "polymorphic %s applied at type %s — use the \
-                        module's typed compare/equal"
-                       h.p_op h.p_ty)
-                  :: !findings)
-            b.b_poly)
-        u.u_bindings)
-    units;
-  !findings
+      List.filter_map
+        (fun h ->
+          let protocol ty =
+            List.exists (String.equal ty) cfg.poly_types
+            &&
+            match defining_source units ty with
+            | Some src -> not (String.equal src u.u_source)
+            | None -> true
+          in
+          match List.find_opt protocol h.p_tys with
+          | None -> None
+          | Some ty ->
+            Some
+              (Finding.make ~rule:"typed-poly-compare" ~file:u.u_source
+                 ~line:h.p_line ~col:h.p_col
+                 (Printf.sprintf
+                    "polymorphic %s applied at type %s — use the module's \
+                     typed compare/equal"
+                    h.p_op ty)))
+        u.u_poly)
+    units
 
-let run cfg units =
-  hot_alloc cfg units @ sim_global cfg units
-  @ describe_coverage cfg units
-  @ event_emit cfg units @ poly_compare cfg units
+(* ---------------- site rules ---------------- *)
+
+let finding r u (s : site) msg =
+  Finding.make ~rule:r.id ~file:u.u_source ~line:s.s_line ~col:s.s_col msg
+
+(* [Stdlib.Random.int] and [Random.int] are the same thing to a rule. *)
+let parts name =
+  match String.split_on_char '.' name with
+  | "Stdlib" :: rest -> rest
+  | parts -> parts
+
+let short name = String.concat "." (parts name)
+
+let banned_value name =
+  match parts name with
+  | ("Unix" | "UnixLabels") :: _ ->
+    Some "wall-clock / OS entropy via Unix; use Simcore.Time_ns (sim time) \
+          or Simcore.Rng (seeded randomness)"
+  | [ "Sys"; "time" ] ->
+    Some "process time via Sys.time; use Simcore.Time_ns"
+  | "Random" :: _ ->
+    Some "unseeded global randomness via Stdlib.Random; use Simcore.Rng"
+  | [ "Hashtbl"; ("hash" | "seeded_hash" | "hash_param") ] ->
+    Some "Hashtbl.hash on sim state; use an explicit deterministic hash \
+          (Simcore.Bits.fnv1a_string) so block placement and checksums are \
+          representation-independent"
+  | _ -> None
+
+let site_rules units =
+  List.concat_map
+    (fun u ->
+      let on r = active r u.u_source in
+      let values =
+        List.filter_map
+          (fun s ->
+            match (banned_value s.s_name, parts s.s_name) with
+            | Some why, _ when on determinism ->
+              Some
+                (finding determinism u s
+                   (Printf.sprintf "%s: %s" (short s.s_name) why))
+            | _, [ "Hashtbl"; (("iter" | "fold") as fn) ]
+              when on stable_iteration ->
+              Some
+                (finding stable_iteration u s
+                   (Printf.sprintf
+                      "Hashtbl.%s in an output-feeding module iterates in \
+                       hash order; use Obs.Stable.sorted_bindings"
+                      fn))
+            | _ -> None)
+          u.u_values
+      in
+      let arith =
+        if not (on lsn_arith) then []
+        else
+          List.map
+            (fun s ->
+              finding lsn_arith u s
+                (Printf.sprintf
+                   "raw integer %s on an LSN-carrying value; use \
+                    Lsn.next/Lsn.add or move the arithmetic behind \
+                    lib/wal/lsn.ml"
+                   (short s.s_name)))
+            u.u_lsn_arith
+      in
+      values @ arith)
+    units
+
+(* ---------------- source-set rules ---------------- *)
+
+(* [sources] are the logical paths of the .ml/.mli files on disk under the
+   scanned roots. *)
+let source_rules ~sources units =
+  let compiled = Hashtbl.create 256 in
+  List.iter (fun u -> Hashtbl.replace compiled u.u_source ()) units;
+  let check r src ok msg =
+    if active r src && not ok then
+      [ Finding.make ~rule:r.id ~file:src ~line:1 ~col:0 msg ]
+    else []
+  in
+  List.concat_map
+    (fun src ->
+      if not (String.ends_with ~suffix:".ml" src) then []
+      else
+        check mli_coverage src
+          (List.mem (src ^ "i") sources)
+          (Printf.sprintf "missing interface %si" src)
+        @ check uncompiled src (Hashtbl.mem compiled src)
+            "no .cmt for this file: it does not compile, or no dune stanza \
+             builds it, so no rule can check it")
+    sources
+
+let run cfg ~sources units =
+  let lib = List.filter (fun u -> cfg.lib_scope u.u_source) units in
+  hot_alloc cfg lib @ sim_global lib
+  @ describe_coverage cfg lib
+  @ event_emit cfg lib @ poly_compare cfg units @ site_rules units
+  @ source_rules ~sources units

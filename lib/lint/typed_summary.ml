@@ -3,9 +3,12 @@
    One walk per top-level binding collects everything the interprocedural
    rules need: direct allocation sites (with [@alloc_ok] suppression),
    referenced global names (the call-graph edges), constructors matched in
-   patterns and built in expressions, typed comparison applications, and
-   top-level mutable-state evidence.  The rules in {!Typed_rules} are then
-   pure functions over these summaries. *)
+   patterns and built in expressions, and top-level mutable-state
+   evidence.  A second walk over the whole unit (functor bodies and
+   top-level effects included) collects the site-level facts: every
+   external value reference, polymorphic comparisons with their operand
+   types, and raw arithmetic on LSN-carrying operands.  The rules in
+   {!Typed_rules} are then pure functions over these summaries. *)
 
 type alloc = { a_line : int; a_col : int; a_desc : string }
 
@@ -17,7 +20,14 @@ type ref_use = {
 }
 
 type con_use = { cu_ty : string; cu_con : string }
-type poly_hit = { p_line : int; p_col : int; p_op : string; p_ty : string }
+type site = { s_line : int; s_col : int; s_name : string }
+
+type poly_hit = {
+  p_line : int;
+  p_col : int;
+  p_op : string;
+  p_tys : string list;
+}
 
 type binding = {
   b_name : string;  (* qualified, e.g. "Simcore.Sim.schedule_at" *)
@@ -28,7 +38,6 @@ type binding = {
   b_refs : ref_use list;  (* one entry per distinct name *)
   b_pat_cons : con_use list;
   b_exp_cons : con_use list;
-  b_poly : poly_hit list;
   b_mutable_evidence : (int * int * string) option;
   b_sim_global : bool;  (* carries [@@sim_global] *)
 }
@@ -41,6 +50,9 @@ type unit_summary = {
   u_source : string;
   u_bindings : binding list;
   u_types : tydecl list;
+  u_values : site list;
+  u_poly : poly_hit list;
+  u_lsn_arith : site list;
 }
 
 let line_col (loc : Location.t) =
@@ -61,6 +73,12 @@ let poly_ops =
     "Stdlib.compare"; "Stdlib.="; "Stdlib.<>"; "Stdlib.<"; "Stdlib.>";
     "Stdlib.<="; "Stdlib.>="; "Stdlib.min"; "Stdlib.max";
   ]
+
+(* Integer arithmetic the lsn-arith rule watches.  Module-qualified or
+   locally rebound operators ([Lsn.( + )]) resolve elsewhere: they are the
+   fix, not a finding. *)
+let arith_ops =
+  [ "Stdlib.+"; "Stdlib.-"; "Stdlib.*"; "Stdlib./"; "Stdlib.mod" ]
 
 (* Known-allocating externals.  Scope note (DESIGN.md §6): this is about
    allocation performed *per call at the call site's request* — list and
@@ -98,20 +116,14 @@ let allocating_suffix =
 let boxed_int_prefix = [ "Stdlib.Int64."; "Stdlib.Int32."; "Stdlib.Nativeint." ]
 let boxed_int_free_tail = [ "to_int"; "compare"; "equal" ]
 
-let has_prefix ~prefix s =
-  String.length s >= String.length prefix
-  && String.sub s 0 (String.length prefix) = prefix
-
-let has_suffix ~suffix s =
-  let ls = String.length s and lx = String.length suffix in
-  ls >= lx && String.sub s (ls - lx) lx = suffix
-
 let allocating_external name =
   List.exists (String.equal name) allocating_exact
-  || List.exists (fun p -> has_prefix ~prefix:p name) allocating_prefix
-  || List.exists (fun s -> has_suffix ~suffix:s name) allocating_suffix
+  || List.exists (fun p -> String.starts_with ~prefix:p name) allocating_prefix
+  || List.exists (fun s -> String.ends_with ~suffix:s name) allocating_suffix
   ||
-  match List.find_opt (fun p -> has_prefix ~prefix:p name) boxed_int_prefix with
+  match
+    List.find_opt (fun p -> String.starts_with ~prefix:p name) boxed_int_prefix
+  with
   | None -> false
   | Some p ->
     let tail =
@@ -123,7 +135,7 @@ let allocating_external name =
    sim-state purity rule. *)
 let mutable_creator name =
   String.equal name "Stdlib.ref"
-  || has_suffix ~suffix:".create" name
+  || String.ends_with ~suffix:".create" name
   || List.exists (String.equal name)
        [
          "Stdlib.Array.make"; "Stdlib.Array.init"; "Stdlib.Array.copy";
@@ -140,7 +152,6 @@ type ctx = {
   mutable allocs : alloc list;
   mutable pat_cons : con_use list;
   mutable exp_cons : con_use list;
-  mutable poly : poly_hit list;
   mutable mut_ev : (int * int * string) option;
   mutable suppressed : bool;
   mutable heads : Typedtree.expression list;  (* outermost lambda chain *)
@@ -174,14 +185,20 @@ let note_mut ctx desc (loc : Location.t) =
 
 (* Qualify an unqualified type name ("t" inside its defining unit) with the
    unit's module path. *)
-let qualify_ty ctx name =
-  if String.contains name '.' then name else ctx.unit_name ^ "." ^ name
+let qualify_ty ~unit_name name =
+  if String.contains name '.' then name else unit_name ^ "." ^ name
+
+(* The head type constructor of a type, qualified; [None] for type
+   variables, arrows, tuples and the like. *)
+let head_type ~unit_name ty =
+  match Types.get_desc ty with
+  | Types.Tconstr (p, _, _) -> Some (qualify_ty ~unit_name (normalize_path p))
+  | _ -> None
 
 let con_of_desc ctx (cd : Types.constructor_description) =
-  match Types.get_desc cd.cstr_res with
-  | Types.Tconstr (p, _, _) ->
-    Some { cu_ty = qualify_ty ctx (normalize_path p); cu_con = cd.cstr_name }
-  | _ -> None
+  match head_type ~unit_name:ctx.unit_name cd.cstr_res with
+  | Some ty -> Some { cu_ty = ty; cu_con = cd.cstr_name }
+  | None -> None
 
 let ident_ref ctx path =
   match path with
@@ -224,28 +241,10 @@ let iterator ctx =
     | Typedtree.Texp_lazy _ -> note_alloc ctx "lazy" e.exp_loc
     | Typedtree.Texp_object _ -> note_alloc ctx "object" e.exp_loc
     | Typedtree.Texp_pack _ -> note_alloc ctx "first-class module" e.exp_loc
-    | Typedtree.Texp_apply (fn, args) -> (
-      match fn.exp_desc with
-      | Typedtree.Texp_ident (p, _, _) -> (
-        let name = normalize_path p in
-        if mutable_creator name then note_mut ctx name e.exp_loc;
-        if List.exists (String.equal name) poly_ops then
-          match args with
-        | (_, Some arg1) :: _ -> (
-          match Types.get_desc arg1.exp_type with
-          | Types.Tconstr (tp, _, _) ->
-            let line, col = line_col e.exp_loc in
-            ctx.poly <-
-              {
-                p_line = line;
-                p_col = col;
-                p_op = name;
-                p_ty = qualify_ty ctx (normalize_path tp);
-              }
-              :: ctx.poly
-          | _ -> ())
-        | _ -> ())
-      | _ -> ())
+    | Typedtree.Texp_apply
+        ({ exp_desc = Typedtree.Texp_ident (p, _, _); _ }, _) ->
+      let name = normalize_path p in
+      if mutable_creator name then note_mut ctx name e.exp_loc
     | _ -> ());
     default_iterator.expr it e;
     ctx.suppressed <- was
@@ -298,7 +297,6 @@ let summarize_binding ~unit_name ~globals ~name (vb : Typedtree.value_binding)
       allocs = [];
       pat_cons = [];
       exp_cons = [];
-      poly = [];
       mut_ev = None;
       suppressed = false;
       heads = head_chain vb.vb_expr;
@@ -333,10 +331,92 @@ let summarize_binding ~unit_name ~globals ~name (vb : Typedtree.value_binding)
     b_refs = refs;
     b_pat_cons = dedup_cons ctx.pat_cons;
     b_exp_cons = dedup_cons ctx.exp_cons;
-    b_poly = List.rev ctx.poly;
     b_mutable_evidence = ctx.mut_ev;
     b_sim_global = has_attr "sim_global" vb.vb_attributes;
   }
+
+(* ------------------------------------------------------------------ *)
+(* Whole-unit site walk.                                               *)
+
+(* The types a polymorphic comparison operand carries: its own head type
+   and, through tuples and constructor arguments, those of its parts — so
+   [Some lsn = x] and [(a, lsn) = t] compare at [Lsn.t] as well. *)
+let rec operand_types ~unit_name (e : Typedtree.expression) =
+  let own = Option.to_list (head_type ~unit_name e.exp_type) in
+  match e.exp_desc with
+  | Typedtree.Texp_tuple es | Typedtree.Texp_construct (_, _, es) ->
+    own @ List.concat_map (operand_types ~unit_name) es
+  | _ -> own
+
+let path_mentions_lsn p =
+  List.mem "Lsn" (String.split_on_char '.' (normalize_path p))
+
+let rec type_mentions_lsn (ty : Typedtree.core_type) =
+  match ty.ctyp_desc with
+  | Typedtree.Ttyp_constr (p, _, args) ->
+    path_mentions_lsn p || List.exists type_mentions_lsn args
+  | Typedtree.Ttyp_tuple tys -> List.exists type_mentions_lsn tys
+  | Typedtree.Ttyp_arrow (_, a, b) -> type_mentions_lsn a || type_mentions_lsn b
+  | _ -> false
+
+(* Does this arithmetic operand look LSN-carrying?  A deliberately shallow
+   test: an identifier whose path mentions [Lsn] (pretty-printers aside —
+   [Lsn.to_int x + 1] is precisely the smell), an application headed by
+   one, or a type constraint mentioning [Lsn].  Anything opaque (a record
+   field, a plain local) is not inspected. *)
+let rec lsn_operand (e : Typedtree.expression) =
+  List.exists
+    (function
+      | Typedtree.Texp_constraint ty, _, _ -> type_mentions_lsn ty
+      | _ -> false)
+    e.exp_extra
+  ||
+  match e.exp_desc with
+  | Typedtree.Texp_ident (p, _, _) -> (
+    path_mentions_lsn p
+    &&
+    match p with
+    | Path.Pdot (_, last) -> not (List.mem last [ "pp"; "to_string" ])
+    | _ -> true)
+  | Typedtree.Texp_apply (f, _) -> lsn_operand f
+  | _ -> false
+
+let collect_sites ~unit_name (str : Typedtree.structure) =
+  let values = ref [] and poly = ref [] and arith = ref [] in
+  let site name (loc : Location.t) =
+    let line, col = line_col loc in
+    { s_line = line; s_col = col; s_name = name }
+  in
+  let expr it (e : Typedtree.expression) =
+    (match e.exp_desc with
+    | Typedtree.Texp_ident ((Path.Pdot _ as p), _, _) ->
+      values := site (normalize_path p) e.exp_loc :: !values
+    | Typedtree.Texp_apply
+        ({ exp_desc = Typedtree.Texp_ident (p, _, _); _ }, args) ->
+      let name = normalize_path p in
+      let operands = List.filter_map snd args in
+      if List.exists (String.equal name) poly_ops then begin
+        let line, col = line_col e.exp_loc in
+        let tys = List.concat_map (operand_types ~unit_name) operands in
+        poly :=
+          {
+            p_line = line;
+            p_col = col;
+            p_op = name;
+            p_tys = List.sort_uniq String.compare tys;
+          }
+          :: !poly
+      end;
+      if
+        List.exists (String.equal name) arith_ops
+        && List.exists lsn_operand operands
+      then arith := site name e.exp_loc :: !arith
+    | _ -> ());
+    Tast_iterator.default_iterator.expr it e
+  in
+  let it = { Tast_iterator.default_iterator with expr } in
+  it.structure it str;
+  (List.rev !values, List.rev !poly, List.rev !arith)
 
 (* ------------------------------------------------------------------ *)
 (* Structure walk: collect the global ident table first (so unqualified
@@ -448,9 +528,15 @@ let summarize (u : Typed_loader.unit_info) =
   let bindings = ref [] and types = ref [] in
   collect_items ~unit_name:u.modname ~prefix:u.modname ~globals u.structure
     ~bindings ~types;
+  let values, poly, lsn_arith =
+    collect_sites ~unit_name:u.modname u.structure
+  in
   {
     u_modname = u.modname;
     u_source = u.source;
     u_bindings = List.rev !bindings;
     u_types = List.rev !types;
+    u_values = values;
+    u_poly = poly;
+    u_lsn_arith = lsn_arith;
   }

@@ -8,8 +8,8 @@
     repair/hydration (§4.2), the PGMRPL garbage-collection floor (§3.4),
     and the writer→replica physical replication stream (§3.2–3.4).
 
-    Baseline protocols (2PC, Paxos) define their own message types and run
-    on their own network instances. *)
+    Baseline protocols (2PC, Paxos commit) define their own message types
+    and run on their own network instances. *)
 
 open Wal
 open Quorum

@@ -199,3 +199,15 @@ let writes_in_issue_order t =
   List.rev_map
     (fun (k, v, issue) -> (k, v, Hashtbl.mem t.acked_issues issue))
     t.writes_log
+
+let acceptable_values t =
+  let valid = Hashtbl.create 256 in
+  List.iter
+    (fun (key, value, acked) ->
+      if acked then Hashtbl.replace valid key [ value ]
+      else
+        match Hashtbl.find_opt valid key with
+        | Some vs -> Hashtbl.replace valid key (value :: vs)
+        | None -> ())
+    (writes_in_issue_order t);
+  valid

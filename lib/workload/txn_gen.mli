@@ -80,3 +80,11 @@ val writes_in_issue_order : t -> (string * string * bool) list
     commit was acknowledged.  This is the durability oracle: the visible
     value of a key must be its last acknowledged write or a later in-doubt
     one (MVCC orders versions by LSN, not by commit-ack order). *)
+
+val acceptable_values : t -> (string, string list) Hashtbl.t
+(** The durability oracle folded per key: the key's last acknowledged
+    write in issue order plus every in-doubt write issued after it (a
+    commit whose ack was lost in a crash may legitimately have survived).
+    Keys with no acknowledged write are absent.  A fresh table on every
+    call, built by the same insertion sequence, so callers that walk it
+    issue their audit reads in the same order run after run. *)

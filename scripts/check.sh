@@ -18,20 +18,15 @@ fi
 
 dune build @all
 
-# Static-analysis gate: aurora_lint walks every .ml/.mli under lib/ bin/
-# bench/ test/ and fails on any finding not frozen in lint/baseline.txt
-# (determinism, stable iteration, protocol-type discipline, interface
-# coverage, raw LSN arithmetic — see DESIGN.md §6).  Runs before the
-# runtime determinism gate because it rejects the *root causes* the byte
-# diff below can only catch probabilistically.
+# Static-analysis gate: aurora_lint reads the compiler's .cmt trees for
+# every .ml under lib/ bin/ bench/ test/ and fails on any finding not
+# frozen in lint/baseline.txt: determinism, stable iteration, raw LSN
+# arithmetic, interface coverage, uncompiled sources, hot-path allocation
+# (call graph from the hot-entry manifest), sim-state purity, protocol/event
+# constructor coverage, and type-resolved polymorphic compare (DESIGN.md
+# §6).  Runs before the runtime determinism gate because it rejects the
+# *root causes* the byte diff below can only catch probabilistically.
 dune build @lint
-
-# Typed tier: interprocedural rules over the compiler's .cmt trees —
-# hot-path allocation (call graph from the hot-entry manifest), sim-state
-# purity (no top-level mutable in lib/ unless annotated [@@sim_global]),
-# protocol/event constructor coverage,
-# and type-precise polymorphic-compare detection (DESIGN.md §6).
-dune build @lint-typed
 
 dune runtest
 

@@ -1,5 +1,5 @@
-(* Tests for the baseline protocols: 2PC, Paxos, Paxos commit, and the
-   ARIES cost model. *)
+(* Tests for the baseline protocols: 2PC, Paxos commit, and the ARIES cost
+   model. *)
 open Simcore
 
 let check_int = Alcotest.(check int)
@@ -59,63 +59,6 @@ let test_2pc_blocking_window () =
   check_bool "participants blocked in doubt" true
     (Baselines.Two_phase_commit.blocked_transactions t > 0)
 
-(* ---- Paxos (single decree) ---- *)
-
-let paxos_config n =
-  {
-    Baselines.Paxos.acceptors = List.init n (fun i -> addr (i + 10));
-    log_force = disk;
-    retry_timeout = Time_ns.ms 5;
-  }
-
-let test_paxos_single_proposer () =
-  let sim, rng, net = fixture () in
-  let p = Baselines.Paxos.create ~sim ~rng ~net ~config:(paxos_config 5) () in
-  let chosen = ref None in
-  Baselines.Paxos.propose p ~proposer:(addr 0) ~proposer_id:0 42
-    ~on_chosen:(fun v -> chosen := Some v);
-  Sim.run_until sim (Time_ns.sec 1);
-  Alcotest.(check (option int)) "chosen" (Some 42) !chosen;
-  Alcotest.(check (option int)) "acceptor majority agrees" (Some 42)
-    (Baselines.Paxos.chosen p)
-
-let test_paxos_contention_agreement () =
-  (* Two duelling proposers must agree on a single value. *)
-  let sim, rng, net = fixture () in
-  let p = Baselines.Paxos.create ~sim ~rng ~net ~config:(paxos_config 5) () in
-  let c1 = ref None and c2 = ref None in
-  Baselines.Paxos.propose p ~proposer:(addr 0) ~proposer_id:0 100
-    ~on_chosen:(fun v -> c1 := Some v);
-  Baselines.Paxos.propose p ~proposer:(addr 1) ~proposer_id:1 200
-    ~on_chosen:(fun v -> c2 := Some v);
-  Sim.run_until sim (Time_ns.sec 10);
-  check_bool "both decided" true (!c1 <> None && !c2 <> None);
-  check_bool "agreement" true (!c1 = !c2);
-  check_bool "one of the proposals" true (!c1 = Some 100 || !c1 = Some 200)
-
-let prop_paxos_agreement_under_loss =
-  QCheck.Test.make ~name:"paxos agreement under message loss" ~count:25
-    QCheck.(pair (int_range 0 9999) (int_range 0 30))
-    (fun (seed, drop_pct) ->
-      let sim, rng, net = fixture ~seed () in
-      Simnet.Net.set_drop_probability net (float_of_int drop_pct /. 100.);
-      let p = Baselines.Paxos.create ~sim ~rng ~net ~config:(paxos_config 5) () in
-      let c1 = ref None and c2 = ref None in
-      Baselines.Paxos.propose p ~proposer:(addr 0) ~proposer_id:0 1
-        ~on_chosen:(fun v -> c1 := Some v);
-      Baselines.Paxos.propose p ~proposer:(addr 1) ~proposer_id:1 2
-        ~on_chosen:(fun v -> c2 := Some v);
-      Sim.run_until sim (Time_ns.sec 60);
-      (* Liveness needs fair loss; safety must hold regardless: any two
-         decisions agree, and the acceptor-state oracle matches. *)
-      match (!c1, !c2) with
-      | Some a, Some b ->
-        a = b
-        && (match Baselines.Paxos.chosen p with Some v -> v = a | None -> true)
-      | Some a, None | None, Some a -> (
-        match Baselines.Paxos.chosen p with Some v -> v = a | None -> true)
-      | None, None -> true)
-
 (* ---- Paxos commit ---- *)
 
 let test_paxos_commit_log () =
@@ -163,7 +106,6 @@ let test_aries_simulated () =
   check_bool "took real time" true (Sim.now sim > Time_ns.ms 10)
 
 let () =
-  let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "baselines"
     [
       ( "2pc",
@@ -171,13 +113,6 @@ let () =
           Alcotest.test_case "commit" `Quick test_2pc_commit;
           Alcotest.test_case "abort" `Quick test_2pc_abort;
           Alcotest.test_case "blocking window" `Quick test_2pc_blocking_window;
-        ] );
-      ( "paxos",
-        [
-          Alcotest.test_case "single proposer" `Quick test_paxos_single_proposer;
-          Alcotest.test_case "contention agreement" `Quick
-            test_paxos_contention_agreement;
-          qc prop_paxos_agreement_under_loss;
         ] );
       ( "paxos_commit",
         [ Alcotest.test_case "replicated log" `Quick test_paxos_commit_log ] );

@@ -53,7 +53,7 @@ let test_e3_exact () =
 let test_scheme_rules_safe () =
   List.iter
     (fun layout ->
-      let _, rule = E.scheme_rule layout in
+      let rule = Membership.rule (Cluster.layout_membership layout) in
       check_bool "overlap" true
         (Quorum_set.overlaps ~read:rule.Quorum_set.Rule.read
            ~write:rule.Quorum_set.Rule.write))

@@ -17,20 +17,11 @@ let settle cluster span =
   Sim.run_until (Cluster.sim cluster)
     (Time_ns.add (Sim.now (Cluster.sim cluster)) span)
 
-(* The durability oracle from the experiment harness, inlined: the value
-   read for each key must be its last acked write in issue (LSN) order or
-   a later in-doubt one. *)
+(* The durability oracle ([Txn_gen.acceptable_values]): the value read
+   for each key must be its last acked write in issue (LSN) order or a
+   later in-doubt one. *)
 let audit ~cluster ~db ~gen =
-  let writes = Txn_gen.writes_in_issue_order gen in
-  let valid = Hashtbl.create 256 in
-  List.iter
-    (fun (key, value, acked) ->
-      if acked then Hashtbl.replace valid key [ value ]
-      else
-        match Hashtbl.find_opt valid key with
-        | Some vs -> Hashtbl.replace valid key (value :: vs)
-        | None -> ())
-    writes;
+  let valid = Txn_gen.acceptable_values gen in
   let lost = ref 0 and checked = ref 0 in
   Hashtbl.iter
     (fun key valid_values ->

@@ -1,83 +1,100 @@
-(* Tests for the aurora_lint engine: one fixture per rule asserting the
-   exact expected findings, a clean-fixture negative test, scope/allowlist
-   behaviour, baseline round-trips, and a meta-test running the linter over
-   the real tree (the same check `dune build @lint` enforces). *)
+(* Tests for the aurora_lint rules that are scoped by source path
+   (determinism, stable-iteration, lsn-arith, mli-coverage, uncompiled) and
+   for typed poly-compare on the same snippets.  The fixtures under
+   fixtures/ are compiled as a library (see fixtures/dune); each test
+   relabels a fixture unit's source path so rule scoping applies, then pins
+   every finding by (rule, file, line).  Also: baseline round-trips, and a
+   meta-test running the linter over the real tree (the same check
+   `dune build @lint` enforces). *)
 
-let read_fixture name =
-  let ic = open_in_bin (Filename.concat "fixtures" name) in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
+let fixture_units =
+  lazy (Lint.Typed_loader.load_dir "fixtures/.lint_fixtures.objs/byte")
 
-(* Lint a fixture as if it lived at [path], so rule scoping applies. *)
-let lint_as ~path name = Lint.Engine.lint_source ~path (read_fixture name)
+let fixture name =
+  let source = "test/lint/fixtures/" ^ name in
+  match
+    List.find_opt
+      (fun (u : Lint.Typed_loader.unit_info) -> String.equal u.source source)
+      (Lazy.force fixture_units)
+  with
+  | Some u -> u
+  | None -> Alcotest.failf "fixture %s not compiled" source
 
-(* (rule, line, col) triples, the part of a finding fixtures pin down. *)
-let shape (f : Lint.Finding.t) = (f.rule, f.line, f.col)
+let relabel ~path name = { (fixture name) with Lint.Typed_loader.source = path }
+
+(* The production rules minus the call-graph manifests, which name repo
+   modules no fixture defines. *)
+let no_manifests =
+  {
+    Lint.Typed_rules.default with
+    hot_roots = [];
+    describe_checks = [];
+    emit_checks = [];
+  }
+
+(* Lint one fixture as if it lived at [path]. *)
+let lint_as ~path name =
+  Lint.Engine.lint_units ~config:no_manifests ~sources:[]
+    [ relabel ~path name ]
+
+(* (rule, file, line) — the part of a finding fixtures pin down; columns
+   are the compiler's business. *)
+let shape (f : Lint.Finding.t) = (f.rule, f.file, f.line)
 
 let check_shapes msg expected findings =
-  Alcotest.(check (list (triple string int int)))
+  Alcotest.(check (list (triple string string int)))
     msg expected (List.map shape findings)
+
+let at file rule lines = List.map (fun line -> (rule, file, line)) lines
 
 (* -- one fixture per rule ------------------------------------------------ *)
 
 let test_determinism () =
-  let fs = lint_as ~path:"lib/fake/bad_determinism.ml" "bad_determinism.ml" in
+  let path = "lib/fake/bad_determinism.ml" in
   check_shapes "five banned identifiers"
-    [
-      ("determinism", 2, 13);
-      ("determinism", 3, 13);
-      ("determinism", 4, 14);
-      ("determinism", 5, 15);
-      ("determinism", 6, 18);
-    ]
-    fs
+    (at path "determinism" [ 2; 3; 4; 5; 6 ])
+    (lint_as ~path "bad_determinism.ml")
 
 let test_stable_iteration () =
-  let fs =
-    lint_as ~path:"lib/obs/bad_stable_iteration.ml" "bad_stable_iteration.ml"
-  in
+  let path = "lib/obs/bad_stable_iteration.ml" in
   check_shapes "iter and fold both flagged"
-    [ ("stable-iteration", 2, 15); ("stable-iteration", 3, 16) ]
-    fs
+    (at path "stable-iteration" [ 2; 3 ])
+    (lint_as ~path "bad_stable_iteration.ml")
 
 let test_poly_compare () =
-  let fs =
-    lint_as ~path:"lib/fake/bad_poly_compare.ml" "bad_poly_compare.ml"
-  in
+  let path = "lib/fake/bad_poly_compare.ml" in
   check_shapes "=, <>, compare, max, and constrained min all flagged"
-    [
-      ("poly-compare", 2, 17);
-      ("poly-compare", 3, 14);
-      ("poly-compare", 4, 19);
-      ("poly-compare", 5, 15);
-      ("poly-compare", 6, 17);
-    ]
-    fs
+    (at path "typed-poly-compare" [ 2; 3; 4; 5; 6 ])
+    (lint_as ~path "bad_poly_compare.ml")
 
 let test_lsn_arith () =
-  let fs = lint_as ~path:"lib/fake/bad_lsn_arith.ml" "bad_lsn_arith.ml" in
+  let path = "lib/fake/bad_lsn_arith.ml" in
   check_shapes "+, -, * on LSN-carrying operands"
-    [
-      ("lsn-arith", 2, 13);
-      ("lsn-arith", 3, 14);
-      ("lsn-arith", 4, 17);
-    ]
-    fs
+    (at path "lsn-arith" [ 2; 3; 4 ])
+    (lint_as ~path "bad_lsn_arith.ml")
+
+(* Sites only name and type resolution show: [gettimeofday] through
+   [open Unix] (line 6), and [=] between two locals of type Lsn.t
+   (line 10). *)
+let test_resolved () =
+  let path = "lib/fake/bad_resolved.ml" in
+  check_shapes "opened and local-typed sites flagged"
+    [ ("determinism", path, 6); ("typed-poly-compare", path, 10) ]
+    (lint_as ~path "bad_resolved.ml")
 
 let test_mli_coverage () =
-  let fs =
-    Lint.Rules.mli_coverage
-      ~ml_files:[ "lib/foo/a.ml"; "lib/foo/b.ml"; "bin/tool.ml" ]
-      ~mli_files:[ "lib/foo/a.mli" ]
+  let units =
+    List.map
+      (fun path -> relabel ~path "clean.ml")
+      [ "lib/foo/a.ml"; "lib/foo/b.ml"; "bin/tool.ml" ]
   in
   (* b.ml lacks an interface; bin/ is out of scope. *)
-  check_shapes "only the lib module without an mli" [ ("mli-coverage", 1, 0) ] fs;
-  Alcotest.(check (list string))
-    "finding names the missing interface"
-    [ "lib/foo/b.ml" ]
-    (List.map (fun (f : Lint.Finding.t) -> f.file) fs)
+  check_shapes "only the lib module without an mli"
+    [ ("mli-coverage", "lib/foo/b.ml", 1) ]
+    (Lint.Engine.lint_units ~config:no_manifests
+       ~sources:
+         [ "bin/tool.ml"; "lib/foo/a.ml"; "lib/foo/a.mli"; "lib/foo/b.ml" ]
+       units)
 
 (* -- negative / scoping / allowlists ------------------------------------- *)
 
@@ -88,21 +105,28 @@ let test_clean_fixture () =
 let test_scope () =
   (* bench/ is sim code too: harness timing must route through Perf.Clock,
      so raw wall-clock reads are findings there as well. *)
+  let path = "bench/bad_determinism.ml" in
   check_shapes "determinism rule active in bench/"
-    [
-      ("determinism", 2, 13);
-      ("determinism", 3, 13);
-      ("determinism", 4, 14);
-      ("determinism", 5, 15);
-      ("determinism", 6, 18);
-    ]
-    (lint_as ~path:"bench/bad_determinism.ml" "bad_determinism.ml");
+    (at path "determinism" [ 2; 3; 4; 5; 6 ])
+    (lint_as ~path "bad_determinism.ml");
   (* ...but test/ is not sim code. *)
   check_shapes "determinism rule inactive in test/" []
     (lint_as ~path:"test/fake/bad_determinism.ml" "bad_determinism.ml");
   (* Hash iteration is only a finding in output-feeding modules. *)
-  check_shapes "stable-iteration inactive outside lib/obs" []
-    (lint_as ~path:"lib/core/bad_stable_iteration.ml" "bad_stable_iteration.ml")
+  check_shapes "stable-iteration inactive outside output-feeding modules" []
+    (lint_as ~path:"lib/core/bad_stable_iteration.ml"
+       "bad_stable_iteration.ml");
+  List.iter
+    (fun path ->
+      check_shapes
+        ("stable-iteration active in " ^ path)
+        (at path "stable-iteration" [ 2; 3 ])
+        (lint_as ~path "bad_stable_iteration.ml"))
+    [
+      "lib/vopr/bad_stable_iteration.ml";
+      "lib/recorder/bad_stable_iteration.ml";
+      "lib/harness/report.ml";
+    ]
 
 let test_allowlist () =
   (* lib/obs/stable.ml is the audited helper: folding there is the point. *)
@@ -115,9 +139,20 @@ let test_allowlist () =
   check_shapes "clock.ml may read real time" []
     (lint_as ~path:"lib/perf/clock.ml" "bad_determinism.ml")
 
+(* A source with no .cmt — here one that cannot even parse — must fail the
+   gate rather than slip past every rule. *)
 let test_parse_error () =
-  let fs = Lint.Engine.lint_source ~path:"lib/fake/broken.ml" "let let let" in
-  check_shapes "syntax errors surface as a finding" [ ("parse-error", 1, 0) ] fs
+  let dir = Filename.temp_dir "aurora_lint" "" in
+  let file = Filename.concat dir "broken.ml" in
+  let oc = open_out_bin file in
+  output_string oc "let let let";
+  close_out oc;
+  let fs = Lint.Engine.lint ~config:no_manifests ~roots:[ dir ] () in
+  Sys.remove file;
+  Sys.rmdir dir;
+  check_shapes "uncompiled source surfaces as a finding"
+    [ ("uncompiled", Lint.Typed_loader.logical_path file, 1) ]
+    fs
 
 (* -- baseline ------------------------------------------------------------ *)
 
@@ -131,7 +166,9 @@ let test_baseline_roundtrip () =
     (Lint.Baseline.size b);
   Alcotest.(check bool) "saved findings are suppressed" true
     (List.for_all (Lint.Baseline.mem b) fs);
-  let other = lint_as ~path:"lib/fake/bad_determinism.ml" "bad_determinism.ml" in
+  let other =
+    lint_as ~path:"lib/fake/bad_determinism.ml" "bad_determinism.ml"
+  in
   Alcotest.(check bool) "unrelated findings are not" false
     (List.exists (Lint.Baseline.mem b) other)
 
@@ -146,9 +183,9 @@ let test_real_tree () =
   List.iter
     (fun r ->
       if not (Sys.file_exists r) then
-        Alcotest.failf "real tree not visible from test sandbox: %s" r)
+        Alcotest.failf "real tree not visible from the test directory: %s" r)
     roots;
-  let findings = Lint.Engine.lint_tree ~roots in
+  let findings = Lint.Engine.lint ~roots () in
   let baseline = Lint.Baseline.load "../../lint/baseline.txt" in
   let fresh =
     List.filter (fun f -> not (Lint.Baseline.mem baseline f)) findings
@@ -184,6 +221,7 @@ let () =
           Alcotest.test_case "stable-iteration" `Quick test_stable_iteration;
           Alcotest.test_case "poly-compare" `Quick test_poly_compare;
           Alcotest.test_case "lsn-arith" `Quick test_lsn_arith;
+          Alcotest.test_case "resolved names" `Quick test_resolved;
           Alcotest.test_case "mli-coverage" `Quick test_mli_coverage;
         ] );
       ( "scoping",

@@ -1,10 +1,10 @@
-(* Tests for the typed lint tier: a deliberately-dirty fixture library
-   (compiled to real .cmt trees — see fixtures/typed/dune) is checked
-   against a fixture-scoped rule config, one test per rule pinning the
-   exact finding positions.  A meta-test then runs the production config
-   over the real library tree (the same check `dune build @lint-typed`
-   enforces), and a final test pins the baseline writer's position
-   ordering so --update-baseline output is byte-stable across tiers. *)
+(* Tests for the call-graph and coverage rules: a deliberately-dirty
+   fixture library (compiled to real .cmt trees — see fixtures/typed/dune)
+   is checked against a fixture-scoped rule config, one test per rule
+   pinning the exact finding positions.  A meta-test then runs the
+   production config over the real tree with no baseline at all, and a
+   final test pins the baseline writer's position ordering so
+   --update-baseline output is byte-stable. *)
 
 let fixture_dir = "fixtures/typed/.lint_typed_fixtures.objs/byte"
 let fixture_units = lazy (Lint.Typed_loader.load_dir fixture_dir)
@@ -17,7 +17,7 @@ let fixture_config : Lint.Typed_rules.config =
         "Lint_typed_fixtures.Tf_hot.entry";
         "Lint_typed_fixtures.Tf_hot.entry_ok";
       ];
-    sim_scope = String.equal (fx "tf_global.ml");
+    lib_scope = String.starts_with ~prefix:(fx "");
     describe_checks =
       [
         ( "Lint_typed_fixtures.Tf_proto.t",
@@ -29,7 +29,7 @@ let fixture_config : Lint.Typed_rules.config =
 
 let fixture_findings =
   lazy
-    (Lint.Typed_engine.lint_units ~config:fixture_config
+    (Lint.Engine.lint_units ~config:fixture_config ~sources:[]
        (Lazy.force fixture_units))
 
 (* (file, line) sites for one rule — columns are the compiler's business. *)
@@ -92,6 +92,28 @@ let test_event_emit () =
     [ (fx "tf_events.ml", 7) ]
     "typed-event-emit"
 
+(* Only lib/ code counts as an emitter: a test that builds every event
+   constructor (as test_recorder does) must not make a dead event look
+   live.  Moving the emitter fixture into test/ leaves [Seen] (line 6)
+   unemitted too. *)
+let test_event_emit_lib_only () =
+  let units =
+    List.map
+      (fun (u : Lint.Typed_loader.unit_info) ->
+        if String.equal u.source (fx "tf_emitter.ml") then
+          { u with source = "test/fake/tf_emitter.ml" }
+        else u)
+      (Lazy.force fixture_units)
+  in
+  Alcotest.(check (list (pair string int)))
+    "constructors built only in a test unit are not emitted"
+    [ (fx "tf_events.ml", 6); (fx "tf_events.ml", 7) ]
+    (List.filter_map
+       (fun (f : Lint.Finding.t) ->
+         if String.equal f.rule "typed-event-emit" then Some (f.file, f.line)
+         else None)
+       (Lint.Engine.lint_units ~config:fixture_config ~sources:[] units))
+
 (* Polymorphic [=] at Wal.Lsn.t in [bad] (line 5); the int comparison in
    [good] is fine. *)
 let test_poly_compare () =
@@ -118,12 +140,12 @@ let test_manifest_rot () =
         ];
       emit_checks =
         [ ("Lint_typed_fixtures.Tf_events.gone", fx "tf_events.ml") ];
-      sim_scope = (fun _ -> false);
+      lib_scope = (fun _ -> false);
       poly_types = [];
     }
   in
   let fs =
-    Lint.Typed_engine.lint_units ~config:cfg (Lazy.force fixture_units)
+    Lint.Engine.lint_units ~config:cfg ~sources:[] (Lazy.force fixture_units)
   in
   Alcotest.(check (list (pair string string)))
     "one manifest-rot finding per stale entry, anchored to the pseudo-file"
@@ -134,13 +156,17 @@ let test_manifest_rot () =
     ]
     (List.map (fun (f : Lint.Finding.t) -> (f.file, f.rule)) fs)
 
-(* The same gate `dune build @lint-typed` enforces: the production config
-   over the real library tree, zero findings expected.  Failure messages
-   print the offending findings verbatim. *)
+(* The production config over every scanned root, with no baseline:
+   zero findings expected, baselined or not.  Failure messages print the
+   offending findings verbatim. *)
 let test_real_tree_clean () =
-  let fs = Lint.Typed_engine.lint ~cmt_roots:[ "../../lib" ] () in
+  let fs =
+    Lint.Engine.lint
+      ~roots:[ "../../lib"; "../../bin"; "../../bench"; "../../test" ]
+      ()
+  in
   Alcotest.(check (list string))
-    "typed tier is finding-free on the real tree" []
+    "the real tree is finding-free" []
     (List.map Lint.Finding.to_string fs)
 
 (* --update-baseline must write the same bytes for the same finding set
@@ -198,6 +224,8 @@ let () =
           Alcotest.test_case "describe-coverage" `Quick
             test_describe_coverage;
           Alcotest.test_case "event-emit" `Quick test_event_emit;
+          Alcotest.test_case "event-emit ignores test units" `Quick
+            test_event_emit_lib_only;
           Alcotest.test_case "poly-compare" `Quick test_poly_compare;
           Alcotest.test_case "no extra findings" `Quick
             test_no_extra_findings;
