@@ -40,6 +40,3 @@ let units roots = Typed_loader.load_tree ~roots:(List.map cmt_root roots)
 let lint_units ?(config = Typed_rules.default) ~sources units =
   let summaries = List.map Typed_summary.summarize units in
   List.sort_uniq Finding.compare (Typed_rules.run config ~sources summaries)
-
-let lint ?config ~roots () =
-  lint_units ?config ~sources:(sources roots) (units roots)

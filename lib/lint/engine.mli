@@ -13,13 +13,10 @@
     broken code under [test/lint/fixtures/] never counts against the real
     tree. *)
 
-val files_under : string list -> string list
-(** All [.ml]/[.mli] files under the given root directories (on-disk paths,
-    sorted, skip-list applied).  A root that does not exist contributes
-    nothing. *)
-
 val sources : string list -> string list
-(** {!files_under} as logical paths. *)
+(** The logical paths of all [.ml]/[.mli] files under the given root
+    directories (sorted, skip-list applied).  A root that does not exist
+    contributes nothing. *)
 
 val units : string list -> Typed_loader.unit_info list
 (** Every implementation [.cmt] for the given source roots: read from
@@ -33,8 +30,5 @@ val lint_units :
   Finding.t list
 (** Summarize and check an explicit unit list against the given logical
     source paths (tests feed fixture units here).  Sorted and
-    deduplicated.  [config] defaults to {!Typed_rules.default}. *)
-
-val lint :
-  ?config:Typed_rules.config -> roots:string list -> unit -> Finding.t list
-(** [lint_units ~sources:(sources roots) (units roots)]. *)
+    deduplicated.  [config] defaults to {!Typed_rules.default}.  Linting
+    a set of roots is [lint_units ~sources:(sources roots) (units roots)]. *)

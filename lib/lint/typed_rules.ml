@@ -170,7 +170,8 @@ let catalogue =
       ( "typed-poly-compare",
         "no polymorphic =, <>, <, compare, min, max, ... on protocol types \
          (Lsn.t, Txn_id.t, Block_id.t, Epoch.t, Member_id.t, Pg_id.t, \
-         Addr.t), type-resolved; use the module's own equal/compare/min/max"
+         Addr.t) or their modules' Set.t/Map.t, type-resolved; use the \
+         module's own equal/compare/min/max"
       );
     ]
 
@@ -358,28 +359,38 @@ let event_emit cfg units =
 
 (* ---------------- typed poly-compare ---------------- *)
 
+(* The module that defines a protocol type: [Wal.Lsn] for [Wal.Lsn.t]. *)
+let type_module ty =
+  match String.rindex_opt ty '.' with
+  | None -> ty
+  | Some i -> String.sub ty 0 i
+
 (* The defining module is exempt: [Lsn.compare] itself is implemented on
    the underlying representation. *)
 let defining_source units ty =
-  match String.rindex_opt ty '.' with
+  let m = type_module ty in
+  match List.find_opt (fun u -> String.equal u.u_modname m) units with
+  | Some u -> Some u.u_source
   | None -> None
-  | Some i -> (
-    let m = String.sub ty 0 i in
-    match List.find_opt (fun u -> String.equal u.u_modname m) units with
-    | Some u -> Some u.u_source
-    | None -> None)
 
 let poly_compare cfg units =
   List.concat_map
     (fun u ->
       List.filter_map
         (fun h ->
+          (* A protocol type, or any type its module defines:
+             [Member_id.Set.t] and [Lsn.Map.t] are balanced trees whose
+             structural equality depends on their shape, which is just as
+             broken as comparing the raw values. *)
           let protocol ty =
-            List.exists (String.equal ty) cfg.poly_types
-            &&
-            match defining_source units ty with
-            | Some src -> not (String.equal src u.u_source)
-            | None -> true
+            List.exists
+              (fun p ->
+                String.starts_with ~prefix:(type_module p ^ ".") ty
+                &&
+                match defining_source units p with
+                | Some src -> not (String.equal src u.u_source)
+                | None -> true)
+              cfg.poly_types
           in
           match List.find_opt protocol h.p_tys with
           | None -> None

@@ -37,8 +37,9 @@
 
     And over every unit:
     - [typed-poly-compare] — no [Stdlib.compare]/[=]/[<]/... applied at a
-      protocol type ({!config.poly_types}), including through a tuple or
-      constructor operand; the defining module is exempt. *)
+      protocol type ({!config.poly_types}) or any other type its module
+      defines ([Member_id.Set.t], [Pg_id.Map.t]), including through a
+      tuple or constructor operand; the defining module is exempt. *)
 
 type config = {
   hot_roots : string list;

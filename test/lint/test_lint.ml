@@ -32,6 +32,12 @@ let no_manifests =
     emit_checks = [];
   }
 
+(* Lint every source under [roots], as the driver does. *)
+let lint_roots ?config roots =
+  Lint.Engine.lint_units ?config
+    ~sources:(Lint.Engine.sources roots)
+    (Lint.Engine.units roots)
+
 (* Lint one fixture as if it lived at [path]. *)
 let lint_as ~path name =
   Lint.Engine.lint_units ~config:no_manifests ~sources:[]
@@ -63,8 +69,10 @@ let test_stable_iteration () =
 
 let test_poly_compare () =
   let path = "lib/fake/bad_poly_compare.ml" in
-  check_shapes "=, <>, compare, max, and constrained min all flagged"
-    (at path "typed-poly-compare" [ 2; 3; 4; 5; 6 ])
+  check_shapes
+    "=, <>, compare, max, constrained min, and = on a Member_id.Set.t all \
+     flagged"
+    (at path "typed-poly-compare" [ 2; 3; 4; 5; 6; 7 ])
     (lint_as ~path "bad_poly_compare.ml")
 
 let test_lsn_arith () =
@@ -147,7 +155,7 @@ let test_parse_error () =
   let oc = open_out_bin file in
   output_string oc "let let let";
   close_out oc;
-  let fs = Lint.Engine.lint ~config:no_manifests ~roots:[ dir ] () in
+  let fs = lint_roots ~config:no_manifests [ dir ] in
   Sys.remove file;
   Sys.rmdir dir;
   check_shapes "uncompiled source surfaces as a finding"
@@ -185,7 +193,7 @@ let test_real_tree () =
       if not (Sys.file_exists r) then
         Alcotest.failf "real tree not visible from the test directory: %s" r)
     roots;
-  let findings = Lint.Engine.lint ~roots () in
+  let findings = lint_roots roots in
   let baseline = Lint.Baseline.load "../../lint/baseline.txt" in
   let fresh =
     List.filter (fun f -> not (Lint.Baseline.mem baseline f)) findings
