@@ -49,13 +49,17 @@ let bench_consistency () =
       done)
 
 let bench_quorum_eval () =
+  (* The per-ack form: compiled once, evaluated on a member mask. *)
   let open Quorum in
   let m = Harness.Cluster.layout_membership Harness.Cluster.Tiered in
-  let rule = Membership.rule m in
+  let write = Quorum_set.compile (Membership.rule m).Quorum_set.Rule.write in
   let ids = Member_id.Set.elements (Membership.member_ids m) in
-  let subset = Member_id.set_of_list (List.filteri (fun i _ -> i < 4) ids) in
+  let subset =
+    Quorum_set.mask_of_set write
+      (Member_id.set_of_list (List.filteri (fun i _ -> i < 4) ids))
+  in
   Bechamel.Staged.stage (fun () ->
-      ignore (Quorum_set.satisfied rule.Quorum_set.Rule.write subset : bool))
+      ignore (Quorum_set.satisfied_mask write subset : bool))
 
 let bench_quorum_overlap () =
   let rule =
@@ -124,8 +128,9 @@ let bench_series_sample () =
       Obs.Series.sample s ~at:!at)
 
 let bench_health_sample () =
-  (* Full cluster-health probe: per-PG quorum margins by exhaustive subset
-     enumeration (2 PGs x 2^6 subsets), AZ+1 tolerance, volume gaps. *)
+  (* Full cluster-health probe: per-PG quorum margins by exhaustive
+     submask enumeration (2 PGs x 2^6 masks), AZ+1 tolerance, volume
+     gaps. *)
   let cluster =
     Harness.Cluster.create { Harness.Cluster.default_config with seed = 3 }
   in
@@ -140,8 +145,29 @@ let bench_zipf () =
   let rng = Rng.create 7 in
   Bechamel.Staged.stage (fun () -> ignore (Workload.Zipf.sample z rng : int))
 
-(* Run the suite and return OLS ns/op estimates, one row per benchmark, in
-   declaration order. *)
+(* Minor words allocated, as a Bechamel measure.  Bechamel's own
+   [Instance.minor_allocated] reads [Gc.quick_stat], whose [minor_words]
+   on OCaml 5 only moves when a minor collection folds the domain's
+   counter in, so a short sample reads 0; [Gc.minor_words] includes the
+   words allocated since. *)
+module Minor_words = struct
+  type witness = unit
+
+  let load () = ()
+  let unload () = ()
+  let make () = ()
+  let get () = Gc.minor_words ()
+  let label () = "minor-words"
+  let unit () = "mnw"
+end
+
+let minor_words =
+  Bechamel.Measure.instance
+    (module Minor_words)
+    (Bechamel.Measure.register (module Minor_words))
+
+(* Run the suite and return OLS estimates of ns/op and minor words/op,
+   one row per benchmark, in declaration order. *)
 let micro_estimates () =
   let open Bechamel in
   let open Toolkit in
@@ -158,40 +184,45 @@ let micro_estimates () =
       Test.make ~name:"zipf: sample" (bench_zipf ());
     ]
   in
+  let instances = [ Instance.monotonic_clock; minor_words ] in
   let benchmark test =
-    let instances = Instance.[ monotonic_clock ] in
     let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) () in
     Benchmark.all cfg instances test
   in
-  let analyze results =
-    let ols =
-      Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-    in
-    Analyze.all ols Instance.monotonic_clock results
+  let ols =
+    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
+  in
+  let estimate results instance name =
+    match
+      Option.bind
+        (Hashtbl.find_opt (Analyze.all ols instance results) name)
+        Analyze.OLS.estimates
+    with
+    | Some [ est ] -> Some est
+    | Some _ | None -> None
   in
   List.concat_map
     (fun test ->
-      let results = analyze (benchmark test) in
-      let rows =
-        Hashtbl.fold
-          (fun name ols acc ->
-            match Bechamel.Analyze.OLS.estimates ols with
-            | Some [ est ] -> (name, Some est) :: acc
-            | Some _ | None -> (name, None) :: acc)
-          results []
-      in
-      (* One entry per test; sort for determinism if bechamel ever returns
+      let results = benchmark test in
+      (* One row per test; sort for determinism if bechamel ever returns
          several. *)
-      List.sort (fun (a, _) (b, _) -> String.compare a b) rows)
+      Hashtbl.fold (fun name _ acc -> name :: acc) results []
+      |> List.sort String.compare
+      |> List.map (fun name ->
+             ( name,
+               estimate results Instance.monotonic_clock name,
+               estimate results minor_words name )))
     tests
 
 let run_micro () =
-  Printf.printf "\n== Bechamel micro-benchmarks (ns/op) ==\n%!";
+  Printf.printf "\n== Bechamel micro-benchmarks (ns/op, minor words/op) ==\n%!";
+  let cell = function
+    | Some est -> Printf.sprintf "%12.1f" est
+    | None -> Printf.sprintf "%12s" "-"
+  in
   List.iter
-    (fun (name, est) ->
-      match est with
-      | Some est -> Printf.printf "%-40s %12.1f ns/op\n%!" name est
-      | None -> Printf.printf "%-40s (no estimate)\n%!" name)
+    (fun (name, ns, words) ->
+      Printf.printf "%-40s %s ns/op %s words/op\n%!" name (cell ns) (cell words))
     (micro_estimates ())
 
 let () =

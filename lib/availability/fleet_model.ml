@@ -64,17 +64,19 @@ let run_group ~rng ~params ~(members : Membership.member list) ~rule acc =
   List.iter
     (fun az -> push (draw_exp params.az_mttf) (Az_fail (Az.to_int az)))
     azs;
-  let up_set () =
-    let s = ref Member_id.Set.empty in
+  let write_q = Quorum_set.compile rule.Quorum_set.Rule.write
+  and read_q = Quorum_set.compile rule.Quorum_set.Rule.read in
+  let up_mask q =
+    let s = ref 0 in
     for i = 0 to n - 1 do
       let m = member_arr.(i) in
       if member_up.(i) && Hashtbl.find az_up (Az.to_int m.Membership.az) then
-        s := Member_id.Set.add m.Membership.id !s
+        s := !s lor Quorum_set.bit q m.Membership.id
     done;
     !s
   in
-  let write_ok () = Quorum_set.satisfied rule.Quorum_set.Rule.write (up_set ()) in
-  let read_ok () = Quorum_set.satisfied rule.Quorum_set.Rule.read (up_set ()) in
+  let write_ok () = Quorum_set.satisfied_mask write_q (up_mask write_q) in
+  let read_ok () = Quorum_set.satisfied_mask read_q (up_mask read_q) in
   let wu = ref 0 and ru = ref 0 in
   let w_eps = ref 0 and r_eps = ref 0 in
   let az_onsets = ref 0 and az_w = ref 0 and az_r = ref 0 in

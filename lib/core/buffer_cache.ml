@@ -23,6 +23,12 @@ type t = {
   capacity : int;
   table : cached_block Block_id.Tbl.t;
   lru : cached_block;  (* sentinel: never in [table], its [block] unused *)
+  mutable dirty_end : cached_block;
+      (* Every block colder than this one was dirty at [dirty_vdl] (the
+         sentinel: the whole list was).  Eviction resumes its walk here
+         while VDL stays put, so a bulk load of dirty blocks costs O(1)
+         per apply instead of a rescan of the dirty prefix. *)
+  mutable dirty_vdl : Lsn.t;
   mutable hits : int;
   mutable misses : int;
   mutable evictions : int;
@@ -38,17 +44,24 @@ let detached block keys =
 
 let create ~capacity =
   if capacity <= 0 then invalid_arg "Buffer_cache.create: capacity";
+  let lru = detached (Block_id.of_int 0) (Hashtbl.create 1) in
   {
     capacity;
     table = Block_id.Tbl.create capacity;
-    lru = detached (Block_id.of_int 0) (Hashtbl.create 1);
+    lru;
+    dirty_end = lru;
+    dirty_vdl = Lsn.none;
     hits = 0;
     misses = 0;
     evictions = 0;
     eviction_blocked = 0;
   }
 
-let unlink entry =
+(* Both relinks keep [dirty_end] valid: an unlinked block hands the mark to
+   its hotter neighbour, and a block linked hottest takes the mark from the
+   sentinel, since it was not checked. *)
+let unlink t entry =
+  if entry == t.dirty_end then t.dirty_end <- entry.next;
   entry.prev.next <- entry.next;
   entry.next.prev <- entry.prev
 
@@ -57,11 +70,12 @@ let link_hottest t entry =
   entry.prev <- hottest;
   entry.next <- t.lru;
   hottest.next <- entry;
-  t.lru.prev <- entry
+  t.lru.prev <- entry;
+  if t.dirty_end == t.lru then t.dirty_end <- entry
 
 (* Mark [entry] most recently used. *)
 let touch t entry =
-  unlink entry;
+  unlink t entry;
   link_hottest t entry
 
 let contains t block = Block_id.Tbl.mem t.table block
@@ -91,20 +105,31 @@ let read t block ~key =
    capacity, walking from [entry] towards the hot end.  Dirty blocks are
    skipped; if everything over capacity is dirty we stay oversized — the
    WAL rule wins over the memory target.  Dirty blocks stay dirty while
-   [vdl] is fixed, so the walk never has to restart from the cold end. *)
+   [vdl] is fixed (a block's last_lsn only grows), so the walk records
+   where it stopped in [dirty_end] and never restarts from the cold end
+   until VDL moves. *)
 let rec evict_from t entry ~vdl =
   if Block_id.Tbl.length t.table > t.capacity then
-    if entry == t.lru then t.eviction_blocked <- t.eviction_blocked + 1
+    if entry == t.lru then begin
+      t.dirty_end <- t.lru;
+      t.eviction_blocked <- t.eviction_blocked + 1
+    end
     else if Lsn.(entry.last_lsn > vdl) then evict_from t entry.next ~vdl
     else begin
       let next = entry.next in
-      unlink entry;
+      unlink t entry;
       Block_id.Tbl.remove t.table entry.block;
       t.evictions <- t.evictions + 1;
       evict_from t next ~vdl
     end
+  else t.dirty_end <- entry
 
-let evict_pressure t ~vdl = evict_from t t.lru.next ~vdl
+let evict_pressure t ~vdl =
+  if not (Lsn.equal vdl t.dirty_vdl) then begin
+    t.dirty_vdl <- vdl;
+    t.dirty_end <- t.lru.next
+  end;
+  evict_from t t.dirty_end ~vdl
 
 let entry_of t block =
   match Block_id.Tbl.find_opt t.table block with
@@ -196,4 +221,5 @@ let stats t =
 let drop_all t =
   Block_id.Tbl.reset t.table;
   t.lru.prev <- t.lru;
-  t.lru.next <- t.lru
+  t.lru.next <- t.lru;
+  t.dirty_end <- t.lru

@@ -65,9 +65,12 @@ val evict_pressure : t -> vdl:Lsn.t -> unit
 (** Shrink to capacity, evicting least-recently-used clean blocks.  Called
     with the current VDL so the WAL rule can be enforced.
 
-    Cost: O(1) when at capacity; otherwise one walk from the cold end of
-    the LRU list over dirty blocks (last modified above [vdl]) to each
-    victim, O(evicted + dirty blocks skipped) in all.  Allocation-free. *)
+    Cost: O(1) when at capacity; otherwise one walk over dirty blocks
+    (last modified above [vdl]) to each victim.  The walk starts where the
+    previous one stopped while [vdl] is unchanged — dirty blocks stay dirty
+    until VDL moves — and from the cold end of the LRU list once it has.
+    So a bulk load at one VDL costs O(1) per call, and a call costs
+    O(evicted + dirty blocks skipped) after VDL advances.  Allocation-free. *)
 
 val drop_all : t -> unit
 (** Crash: the cache is ephemeral state. *)

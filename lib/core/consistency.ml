@@ -2,9 +2,14 @@ open Wal
 open Quorum
 module Pg_id = Storage.Pg_id
 
+(* The write quorum is kept compiled (Quorum_set's member-index masks)
+   next to a slot array aligned with its index, so an ack tests the quorum
+   on an int mask: the ack path builds no set and allocates nothing. *)
 type pg_state = {
-  mutable write_quorum : Quorum_set.t;
-  scls : Lsn.t Member_id.Tbl.t;
+  mutable write_quorum : Quorum_set.compiled;
+  mutable slot_scls : Lsn.t array;
+      (* slot i: SCL of the write quorum's i-th member; mirrors [scls] *)
+  scls : Lsn.t Member_id.Tbl.t; (* every segment heard from; the truth *)
   chain : Lsn.t Queue.t; (* submitted, not yet durable, in order *)
   mutable pgcl : Lsn.t;
 }
@@ -34,27 +39,39 @@ let create () =
     durable_watchers = [];
   }
 
-let register_pg t pg ~write_quorum =
+let scl_in scls seg =
+  match Member_id.Tbl.find scls seg with
+  | scl -> scl
+  | exception Not_found -> Lsn.none
+
+(* The slot array for compiled quorum [c], filled from the SCL table so
+   members that acked under an earlier quorum keep their standing. *)
+let slots_for scls c =
+  Array.init (Quorum_set.size c) (fun i -> scl_in scls (Quorum_set.member c i))
+
+let set_write_quorum t pg q =
+  let c = Quorum_set.compile q in
   match Pg_id.Tbl.find_opt t.pgs pg with
-  | Some st -> st.write_quorum <- write_quorum
+  | Some st ->
+    st.write_quorum <- c;
+    st.slot_scls <- slots_for st.scls c
   | None ->
+    let scls = Member_id.Tbl.create 8 in
     Pg_id.Tbl.add t.pgs pg
       {
-        write_quorum;
-        scls = Member_id.Tbl.create 8;
+        write_quorum = c;
+        slot_scls = slots_for scls c;
+        scls;
         chain = Queue.create ();
         pgcl = Lsn.none;
       }
 
-let set_write_quorum t pg q =
-  match Pg_id.Tbl.find_opt t.pgs pg with
-  | Some st -> st.write_quorum <- q
-  | None -> register_pg t pg ~write_quorum:q
+let register_pg t pg ~write_quorum = set_write_quorum t pg write_quorum
 
 let pg_state t pg =
-  match Pg_id.Tbl.find_opt t.pgs pg with
-  | Some st -> st
-  | None -> invalid_arg "Consistency: unknown protection group"
+  match Pg_id.Tbl.find t.pgs pg with
+  | st -> st
+  | exception Not_found -> invalid_arg "Consistency: unknown protection group"
 
 let note_submitted t ~pg ~lsn ~mtr_end =
   if Lsn.(lsn <= t.last_submitted) then
@@ -64,84 +81,87 @@ let note_submitted t ~pg ~lsn ~mtr_end =
   Queue.push lsn st.chain;
   Queue.push { lsn; pg; mtr_end } t.volume_chain
 
-(* Segments whose SCL covers [lsn]. *)
-let covering st lsn =
-  Member_id.Tbl.fold
-    (fun seg scl acc -> if Lsn.(scl >= lsn) then Member_id.Set.add seg acc else acc)
-    st.scls Member_id.Set.empty
+(* Watchers are called through top-level loops, not [List.iter] closures:
+   these run per record made durable. *)
+let rec fire_durable pg lsn = function
+  | [] -> ()
+  | f :: rest ->
+    f pg lsn;
+    fire_durable pg lsn rest
+
+let rec fire lsn = function
+  | [] -> ()
+  | f :: rest ->
+    f lsn;
+    fire lsn rest
+
+(* Mask of the write-quorum members whose SCL covers [lsn]. *)
+let rec covering_mask slots lsn i acc =
+  if i < 0 then acc
+  else
+    covering_mask slots lsn (i - 1)
+      (if Lsn.(slots.(i) >= lsn) then acc lor (1 lsl i) else acc)
 
 (* Advance the group's PGCL: pop chain heads while the segments covering
    them satisfy the write quorum.  SCL coverage is antitone in LSN, so a
    failing head stops the scan. *)
-let advance_pgcl t pg st =
-  let continue = ref true in
-  while !continue do
-    match Queue.peek_opt st.chain with
-    | None -> continue := false
-    | Some lsn ->
-      if Quorum_set.satisfied st.write_quorum (covering st lsn) then begin
-        ignore (Queue.pop st.chain : Lsn.t);
-        st.pgcl <- lsn;
-        List.iter (fun f -> f pg lsn) t.durable_watchers
-      end
-      else continue := false
-  done
+let rec advance_pgcl t pg st =
+  if not (Queue.is_empty st.chain) then begin
+    let lsn = Queue.peek st.chain in
+    let covering =
+      covering_mask st.slot_scls lsn (Array.length st.slot_scls - 1) 0
+    in
+    if Quorum_set.satisfied_mask st.write_quorum covering then begin
+      ignore (Queue.pop st.chain : Lsn.t);
+      st.pgcl <- lsn;
+      fire_durable pg lsn t.durable_watchers;
+      advance_pgcl t pg st
+    end
+  end
 
-(* Advance VCL: pop the volume chain while each head is covered by its own
-   group's PGCL ("no pending writes preventing PGCL from advancing"). *)
+(* Pop the volume chain while each head is covered by its own group's
+   PGCL ("no pending writes preventing PGCL from advancing"), raising VCL
+   as it goes; returns the new VDL candidate, starting from [vdl]. *)
+let rec pop_covered t vdl =
+  if Queue.is_empty t.volume_chain then vdl
+  else begin
+    let entry = Queue.peek t.volume_chain in
+    if Lsn.(entry.lsn <= (pg_state t entry.pg).pgcl) then begin
+      ignore (Queue.pop t.volume_chain : volume_entry);
+      if Lsn.(entry.lsn > t.vcl) then t.vcl <- entry.lsn;
+      pop_covered t (if entry.mtr_end then entry.lsn else vdl)
+    end
+    else vdl
+  end
+
 let advance_vcl t =
-  let new_vcl = ref t.vcl in
-  let new_vdl = ref t.vdl in
-  let continue = ref true in
-  while !continue do
-    match Queue.peek_opt t.volume_chain with
-    | None -> continue := false
-    | Some entry ->
-      let st = pg_state t entry.pg in
-      if Lsn.(entry.lsn <= st.pgcl) then begin
-        ignore (Queue.pop t.volume_chain : volume_entry);
-        new_vcl := entry.lsn;
-        if entry.mtr_end then new_vdl := entry.lsn
-      end
-      else continue := false
-  done;
-  if Lsn.(!new_vcl > t.vcl) then begin
-    t.vcl <- !new_vcl;
-    List.iter (fun f -> f t.vcl) t.vcl_watchers
-  end;
-  if Lsn.(!new_vdl > t.vdl) then begin
-    t.vdl <- !new_vdl;
-    List.iter (fun f -> f t.vdl) t.vdl_watchers
+  let before = t.vcl in
+  let vdl = pop_covered t t.vdl in
+  if Lsn.(t.vcl > before) then fire t.vcl t.vcl_watchers;
+  if Lsn.(vdl > t.vdl) then begin
+    t.vdl <- vdl;
+    fire t.vdl t.vdl_watchers
   end
 
 let note_ack t ~pg ~seg ~scl =
   let st = pg_state t pg in
   (* Acks can be reordered in flight; a segment's SCL is monotone, so a
      lower value is always stale news and must not regress the tracker. *)
-  let prev =
-    match Member_id.Tbl.find_opt st.scls seg with
-    | Some l -> l
-    | None -> Lsn.none
-  in
-  if Lsn.(scl > prev) then begin
+  if Lsn.(scl > scl_in st.scls seg) then begin
     Perf.Probe.start Perf.Probe.Consistency_advance;
     Member_id.Tbl.replace st.scls seg scl;
+    let slot = Quorum_set.position st.write_quorum seg in
+    if slot >= 0 then st.slot_scls.(slot) <- scl;
     let before = st.pgcl in
     advance_pgcl t pg st;
     if Lsn.(st.pgcl > before) then advance_vcl t;
     Perf.Probe.stop Perf.Probe.Consistency_advance
   end
 
-let segment_scl t ~pg ~seg =
-  match Member_id.Tbl.find_opt (pg_state t pg).scls seg with
-  | Some scl -> scl
-  | None -> Lsn.none
-
+let segment_scl t ~pg ~seg = scl_in (pg_state t pg).scls seg
 let pgcl t pg = (pg_state t pg).pgcl
 let vcl t = t.vcl
 let vdl t = t.vdl
-
-let segments_at_or_above t ~pg ~lsn = covering (pg_state t pg) lsn
 
 let on_vcl_advance t f = t.vcl_watchers <- f :: t.vcl_watchers
 let on_vdl_advance t f = t.vdl_watchers <- f :: t.vdl_watchers

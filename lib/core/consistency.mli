@@ -29,7 +29,8 @@ val create : unit -> t
 
 val register_pg : t -> Storage.Pg_id.t -> write_quorum:Quorum_set.t -> unit
 (** Declare a protection group and its current write-quorum expression.
-    Re-registering replaces the expression (membership epochs change it). *)
+    Re-registering replaces the expression (membership epochs change it).
+    The expression is compiled here, once per membership epoch. *)
 
 val set_write_quorum : t -> Storage.Pg_id.t -> Quorum_set.t -> unit
 
@@ -42,18 +43,23 @@ val note_submitted :
 val note_ack : t -> pg:Storage.Pg_id.t -> seg:Member_id.t -> scl:Lsn.t -> unit
 (** Process a write acknowledgement.  Acknowledgements may be delivered out
     of order; since a segment's SCL is monotone, values lower than already
-    observed are ignored as stale. *)
+    observed are ignored as stale.  Acks from segments outside the write
+    quorum are recorded ({!segment_scl}) but never count towards it.
+
+    Cost: O(write-quorum members) per PGCL step and no allocation — the
+    quorum is tested on a member-index mask ({!Quorum_set.satisfied_mask})
+    built from a slot array kept beside the compiled quorum. *)
 
 val segment_scl : t -> pg:Storage.Pg_id.t -> seg:Member_id.t -> Lsn.t
+(** Highest SCL the segment has acknowledged ({!Lsn.none} if it never
+    has).  A segment whose SCL reaches [lsn] holds the latest durable
+    version of every block written at or below [lsn], which is what lets
+    Aurora read from one segment instead of a read quorum (§3.1).
+    Allocation-free. *)
+
 val pgcl : t -> Storage.Pg_id.t -> Lsn.t
 val vcl : t -> Lsn.t
 val vdl : t -> Lsn.t
-
-val segments_at_or_above :
-  t -> pg:Storage.Pg_id.t -> lsn:Lsn.t -> Member_id.Set.t
-(** Segments whose SCL covers [lsn] — exactly the candidates that hold the
-    latest durable version of a block written at [lsn], which is what lets
-    Aurora read from one segment instead of a read quorum (§3.1). *)
 
 val on_vcl_advance : t -> (Lsn.t -> unit) -> unit
 (** Register a callback fired (with the new VCL) every time VCL advances. *)

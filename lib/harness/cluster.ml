@@ -91,39 +91,36 @@ let make_storage_node t ~az =
 
 (* ---- cluster health probe (feeds Obs.Health each sampler tick) ---- *)
 
-let popcount =
-  let rec go acc v = if v = 0 then acc else go (acc + (v land 1)) (v lsr 1) in
-  fun v -> go 0 v
-
 (* Fewest additional healthy-member losses that break [q]; -1 when [q] is
-   already unsatisfiable on [healthy].  Member counts are <= ~7 even during
-   membership transitions, so exhaustive subset enumeration is cheap —
-   the same argument the paper makes for quorum-set safety checking. *)
-let quorum_margin q healthy =
-  if not (Quorum_set.satisfied q healthy) then -1
+   already unsatisfiable on the [n] healthy members, [healthy] being their
+   mask over [q]'s index.  Member counts are <= ~7 even during membership
+   transitions, so enumerating every submask of [healthy] is cheap — the
+   same argument the paper makes for quorum-set safety checking.  Healthy
+   members outside the index never help break [q], so the submasks cover
+   every minimal loss. *)
+let quorum_margin q ~healthy ~n =
+  if not (Quorum_set.satisfied_mask q healthy) then -1
   else begin
-    let arr = Array.of_seq (Member_id.Set.to_seq healthy) in
-    let n = Array.length arr in
     let best = ref (n + 1) in
-    for mask = 1 to (1 lsl n) - 1 do
-      let c = popcount mask in
-      if c < !best then begin
-        let remaining = ref healthy in
-        for i = 0 to n - 1 do
-          if mask land (1 lsl i) <> 0 then
-            remaining := Member_id.Set.remove arr.(i) !remaining
-        done;
-        if not (Quorum_set.satisfied q !remaining) then best := c
+    let rec go lost =
+      if lost <> 0 then begin
+        let c = Quorum_set.popcount lost in
+        if c < !best && not (Quorum_set.satisfied_mask q (healthy land lnot lost))
+        then best := c;
+        go ((lost - 1) land healthy)
       end
-    done;
+    in
+    go healthy;
     if !best > n then n else !best - 1
   end
+
+let member_mask q slots =
+  List.fold_left (fun acc s -> acc lor Quorum_set.bit q s.member.Membership.id) 0 slots
 
 (* §2.1's durability target: data survives the loss of one whole AZ plus
    one more node.  True iff, for every AZ and every single survivor beyond
    it, the read quorum is still satisfiable on what remains. *)
-let az_plus_one_ok read_q slots =
-  let healthy = List.filter (fun s -> Storage.Storage_node.is_alive s.node) slots in
+let az_plus_one_ok read_q healthy slots =
   let azs =
     List.sort_uniq Az.compare (List.map (fun s -> s.member.Membership.az) slots)
   in
@@ -132,17 +129,12 @@ let az_plus_one_ok read_q slots =
       let survivors =
         List.filter (fun s -> not (Az.equal s.member.Membership.az az)) healthy
       in
+      let mask = member_mask read_q survivors in
       survivors <> []
       && List.for_all
            (fun x ->
-             let set =
-               List.fold_left
-                 (fun acc s ->
-                   if s == x then acc
-                   else Member_id.Set.add s.member.Membership.id acc)
-                 Member_id.Set.empty survivors
-             in
-             Quorum_set.satisfied read_q set)
+             Quorum_set.satisfied_mask read_q
+               (mask land lnot (Quorum_set.bit read_q x.member.Membership.id)))
            survivors)
     azs
 
@@ -155,26 +147,31 @@ let health_sample t ~at =
     |> List.map (fun (pg, pgn) ->
            let g = Volume.find_pg volume pg in
            let rule = Volume.rule g in
+           let write_q = Quorum_set.compile rule.Quorum_set.Rule.write
+           and read_q = Quorum_set.compile rule.Quorum_set.Rule.read in
            let healthy =
-             List.fold_left
-               (fun acc s ->
-                 if Storage.Storage_node.is_alive s.node then
-                   Member_id.Set.add s.member.Membership.id acc
-                 else acc)
-               Member_id.Set.empty pgn.slots
+             List.filter (fun s -> Storage.Storage_node.is_alive s.node) pgn.slots
            in
+           let n = List.length healthy in
            let pgcl = Aurora_core.Consistency.pgcl consistency pg in
-           let current =
-             Aurora_core.Consistency.segments_at_or_above consistency ~pg ~lsn:pgcl
+           (* Healthy members that have acknowledged through PGCL. *)
+           let current s =
+             let scl =
+               Aurora_core.Consistency.segment_scl consistency ~pg
+                 ~seg:s.member.Membership.id
+             in
+             (not (Wal.Lsn.is_none scl)) && Wal.Lsn.(scl >= pgcl)
            in
            {
              Obs.Health.pg = Pg_id.to_int pg;
              total = List.length pgn.slots;
-             reachable = Member_id.Set.cardinal healthy;
-             ack_current = Member_id.Set.cardinal (Member_id.Set.inter current healthy);
-             write_margin = quorum_margin rule.Quorum_set.Rule.write healthy;
-             read_margin = quorum_margin rule.Quorum_set.Rule.read healthy;
-             az_plus_one = az_plus_one_ok rule.Quorum_set.Rule.read pgn.slots;
+             reachable = n;
+             ack_current = List.length (List.filter current healthy);
+             write_margin =
+               quorum_margin write_q ~healthy:(member_mask write_q healthy) ~n;
+             read_margin =
+               quorum_margin read_q ~healthy:(member_mask read_q healthy) ~n;
+             az_plus_one = az_plus_one_ok read_q healthy pgn.slots;
              epoch = Epoch.to_int (Membership.epoch g.Volume.membership);
            })
   in

@@ -34,6 +34,7 @@ let default =
         "Wal.Log_record.is_abort";
         "Aurora_core.Buffer_cache.touch";
         "Aurora_core.Buffer_cache.evict_pressure";
+        "Aurora_core.Consistency.note_ack";
       ];
     lib_scope = (fun src -> String.starts_with ~prefix:"lib/" src);
     describe_checks = [ ("Storage.Protocol.t", "Storage.Protocol.describe") ];

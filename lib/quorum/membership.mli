@@ -13,7 +13,8 @@
     This module tracks the member roster, pending (suspect, replacement)
     pairs, and the epoch, and derives the composite quorum rule for the
     current state.  Every transition re-validates the §2.1 overlap rules by
-    exhaustive enumeration. *)
+    exhaustive enumeration; values are immutable, so that proof runs once
+    per value and {!rule} never repeats it. *)
 
 type segment_kind =
   | Full  (** Stores redo log and materialized data blocks. *)
@@ -54,7 +55,8 @@ val variants : t -> Member_id.Set.t list
 (** The candidate final member sets (Figure 5's ABCDEF / ABCDEG / ...). *)
 
 val rule : t -> Quorum_set.Rule.t
-(** Composite read/write quorum rule for the current epoch. *)
+(** Composite read/write quorum rule for the current epoch.  Derived and
+    proved safe once, when the value is built; this is a field read. *)
 
 val is_steady : t -> bool
 

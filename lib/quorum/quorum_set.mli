@@ -10,11 +10,19 @@
     - tiered write set:     [4/6 of all OR 3/3 of full segments]
     - tiered read set:      [3/6 of all AND 1/3 of full segments]
 
+    There is one evaluator, over int bitmasks.  {!compile} fixes a member
+    index — bit [i] of a mask stands for the [i]-th member — and folds
+    each atom's member set into a mask, so {!satisfied_mask} is a popcount
+    per atom and allocates nothing.  That is what lets the writer test a
+    write quorum on every acknowledgement (§2.3) without building sets.
+    {!satisfied} and the safety checks below all run on the compiled form.
+
     Because formulas are monotone, safety properties (read/write overlap,
-    write/write intersection) are decidable by enumerating member subsets;
-    member counts here are small (≤ ~12), so exhaustive checking is cheap
-    and is exactly the "using Boolean logic, we can prove each transition is
-    correct, safe, and reversible" claim of the paper. *)
+    write/write intersection) are decidable by enumerating member subsets,
+    here every mask from [0] to {!full_mask}.  Member counts are small
+    (≤ ~12), so exhaustive checking is cheap and is exactly the "using
+    Boolean logic, we can prove each transition is correct, safe, and
+    reversible" claim of the paper. *)
 
 type t =
   | Atom of { threshold : int; members : Member_id.Set.t }
@@ -38,9 +46,47 @@ val any : t list -> t
 val members : t -> Member_id.Set.t
 (** Every member mentioned anywhere in the formula. *)
 
+(** {1 Member-index masks} *)
+
+type compiled
+(** A formula compiled against a member index. *)
+
+val compile : ?index:Member_id.t array -> t -> compiled
+(** Bit [i] of a mask stands for [index.(i)].  The default index is
+    {!members} in ascending id order.  Pass an explicit index to evaluate
+    several formulas over one mask space (a rule's read and write sides).
+    @raise Invalid_argument if [index] repeats a member, lacks a member of
+    the formula, or has more than 62 members. *)
+
+val size : compiled -> int
+(** Number of members in the index. *)
+
+val member : compiled -> int -> Member_id.t
+(** [member c i] is the member that bit [i] stands for. *)
+
+val position : compiled -> Member_id.t -> int
+(** Index position of a member, or [-1] if it is not in the index.
+    Allocation-free. *)
+
+val bit : compiled -> Member_id.t -> int
+(** [1 lsl position], or [0] for a member outside the index. *)
+
+val mask_of_set : compiled -> Member_id.Set.t -> int
+(** Members outside the index are ignored. *)
+
+val satisfied_mask : compiled -> int -> bool
+(** Does the member set encoded by the mask meet the requirement?
+    Monotone in the mask; allocation-free. *)
+
+val popcount : int -> int
+(** Members in a mask. *)
+
+(** {1 Properties} *)
+
 val satisfied : t -> Member_id.Set.t -> bool
 (** [satisfied t responsive] — does the responsive set meet the
-    requirement? Monotone in [responsive]. *)
+    requirement? Monotone in [responsive].  Compiles [t] on each call:
+    hot callers compile once and use {!satisfied_mask}. *)
 
 val min_cardinality : t -> int
 (** Size of the smallest satisfying set (number of I/Os needed in the best
@@ -48,16 +94,12 @@ val min_cardinality : t -> int
 
 val overlaps : read:t -> write:t -> bool
 (** Every read-satisfying subset intersects every write-satisfying subset —
-    rule 1 of §2.1.  Checked exhaustively over subsets of
+    rule 1 of §2.1.  Checked exhaustively over the masks of
     [members read ∪ members write]. *)
 
 val self_overlapping : t -> bool
 (** Every pair of satisfying subsets intersects — rule 2 of §2.1 applied to
     the write quorum ("the write set must overlap with prior write sets"). *)
-
-val tolerates_failure_of : t -> Member_id.Set.t -> bool
-(** [tolerates_failure_of t down] — the requirement is still satisfiable
-    using only members outside [down]. *)
 
 val pp : Format.formatter -> t -> unit
 

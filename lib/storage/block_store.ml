@@ -129,6 +129,22 @@ let block_snapshot t block =
   | None -> []
   | Some e -> Hashtbl.fold (fun key vs acc -> (key, vs) :: acc) e.keys []
 
+(* Chains are newest first with strictly descending LSNs, so the versions
+   at or below [as_of] are a suffix: drop the newer prefix and share the
+   rest. *)
+let rec at_or_below as_of = function
+  | v :: rest when Lsn.(v.lsn > as_of) -> at_or_below as_of rest
+  | vs -> vs
+
+let block_as_of t block ~as_of =
+  match Block_id.Tbl.find_opt t.table block with
+  | None -> []
+  | Some e ->
+    Hashtbl.fold
+      (fun key vs acc ->
+        match at_or_below as_of vs with [] -> acc | vs -> (key, vs) :: acc)
+      e.keys []
+
 let load_snapshot t block snapshot =
   (* Remove existing accounting for the block, then install.  Emptying the
      old entry lets GC prune any of its keys that are still listed. *)

@@ -9,7 +9,13 @@
 
     The store also keeps a per-block checksum over the newest versions,
     giving the scrubber (Figure 2, step 8) something to verify, and a
-    corruption hook for fault-injection tests. *)
+    corruption hook for fault-injection tests.
+
+    Invariant: every version chain is newest first, with strictly
+    descending LSNs.  {!apply} keeps it because a block's records arrive
+    in ascending LSN order; {!load_snapshot} takes chains already in that
+    order; {!gc} and {!rollback_above} only cut chains.  {!block_as_of}
+    relies on it. *)
 
 type version = {
   value : string option;  (** [None] encodes a delete. *)
@@ -51,11 +57,19 @@ val read_at :
 
 val block_snapshot : t -> Wal.Block_id.t -> (string * version list) list
 (** Entire block: every key with its full version chain (newest first).
-    Used for block reads, replica cache fills, and full-segment repair. *)
+    Used for full-segment repair. *)
+
+val block_as_of :
+  t -> Wal.Block_id.t -> as_of:Wal.Lsn.t -> (string * version list) list
+(** The block as of [as_of]: every key with the versions at or below
+    [as_of] (newest first), keys with none omitted — the image a block read
+    returns.  Each chain is shared with the store, not copied: by the chain
+    invariant those versions are a suffix of it. *)
 
 val load_snapshot : t -> Wal.Block_id.t -> (string * version list) list -> unit
 (** Install a block image wholesale (repair / hydration path).  Existing
-    versions for the block are replaced. *)
+    versions for the block are replaced.  Chains must be newest first with
+    strictly descending LSNs, as {!block_snapshot} returns them. *)
 
 val rollback_above : t -> Wal.Lsn.t -> int
 (** Drop every version with [lsn] strictly above the bound — applied when a

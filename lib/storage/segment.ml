@@ -128,24 +128,11 @@ let read_block t ~block ~as_of =
       Error (Protocol.Below_gc_floor t.pgmrpl)
     else begin
       ignore (coalesce t : int);
-      let snapshot = Block_store.block_snapshot t.store block in
-      let entries =
-        List.filter_map
-          (fun (key, versions) ->
-            match
-              List.filter
-                (fun (v : Block_store.version) -> Lsn.(v.lsn <= as_of))
-                versions
-            with
-            | [] -> None
-            | vs -> Some (key, vs))
-          snapshot
-      in
       Ok
         {
           Protocol.image_block = block;
           image_as_of = as_of;
-          image_entries = entries;
+          image_entries = Block_store.block_as_of t.store block ~as_of;
         }
     end
 

@@ -63,7 +63,11 @@ val is_annulled : t -> Lsn.t -> bool
 val drop_below : t -> upto:Lsn.t -> int
 (** Garbage-collect records with LSN [<= upto] (they are coalesced and/or
     backed up; Figure 2 step 7).  The SCL is unaffected — the chain below
-    the drop point is remembered as complete.  Returns records dropped. *)
+    the drop point is remembered as complete.  Returns records dropped.
+
+    Cost: O(dropped + annulled since the last call), plus a log factor for
+    records that arrived out of LSN order — an LSN-ordered queue is popped
+    up to [upto]; the records kept are never visited. *)
 
 val bytes_stored : t -> int
 (** Total [size_bytes] of stored records (hot-log footprint). *)

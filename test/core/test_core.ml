@@ -77,11 +77,15 @@ let test_consistency_hooks_and_candidates () =
     C.note_ack c ~pg:(pg 0) ~seg:(m s) ~scl:(lsn 2)
   done;
   Alcotest.(check (list int)) "hook fired once with final value" [ 2 ] !vcl_seen;
-  check_int "candidates at 2" 4
-    (Member_id.Set.cardinal (C.segments_at_or_above c ~pg:(pg 0) ~lsn:(lsn 2)));
+  let covering () =
+    List.length
+      (List.filter
+         (fun s -> Lsn.(C.segment_scl c ~pg:(pg 0) ~seg:(m s) >= lsn 2))
+         (List.init 6 Fun.id))
+  in
+  check_int "candidates at 2" 4 (covering ());
   C.note_ack c ~pg:(pg 0) ~seg:(m 4) ~scl:(lsn 1);
-  check_int "partial segment excluded" 4
-    (Member_id.Set.cardinal (C.segments_at_or_above c ~pg:(pg 0) ~lsn:(lsn 2)))
+  check_int "partial segment excluded" 4 (covering ())
 
 let test_consistency_quorum_set_write () =
   (* Transitional quorum (Figure 5): ABCD satisfies both sides. *)
@@ -97,6 +101,148 @@ let test_consistency_quorum_set_write () =
   check_int "3 acks not enough" 0 (Lsn.to_int (C.vcl c));
   C.note_ack c ~pg:(pg 0) ~seg:(m 3) ~scl:(lsn 1);
   check_int "ABCD satisfies composite" 1 (Lsn.to_int (C.vcl c))
+
+(* The tracker against a naive set-based one: every ack rebuilds the set
+   of covering segments and evaluates the quorum formula on it directly.
+   Acks arrive reordered, stale, duplicated, and from non-members (G
+   before the change, H always); midway, group 0 moves to Figure 5's
+   transition quorum [4/6 ABCDEF AND 4/6 ABCDEG].  PGCLs, VCL, VDL and the
+   sequence of watcher calls must agree after every step. *)
+type c_op = Submit of int * bool | Ack of int * int * int  (* pg, seg, back-off *)
+
+let rec naive_satisfied q responsive =
+  match q with
+  | Quorum_set.Atom { threshold; members } ->
+    Member_id.Set.cardinal (Member_id.Set.inter members responsive) >= threshold
+  | Quorum_set.All qs -> List.for_all (fun q -> naive_satisfied q responsive) qs
+  | Quorum_set.Any qs -> List.exists (fun q -> naive_satisfied q responsive) qs
+
+type naive_pg = {
+  mutable q : Quorum_set.t;
+  acked : (int, int) Hashtbl.t;  (* seg -> SCL *)
+  mutable pending : int list;  (* submitted, not durable, ascending *)
+  mutable point : int;  (* PGCL *)
+}
+
+let prop_consistency_matches_naive_tracker =
+  let op_gen =
+    QCheck.Gen.(
+      frequency
+        [
+          (2, map2 (fun p e -> Submit (p, e)) (int_range 0 1) bool);
+          ( 5,
+            map3
+              (fun p s b -> Ack (p, s, b))
+              (int_range 0 1) (int_range 0 7) (int_range 0 8) );
+        ])
+  in
+  let print = function
+    | Submit (p, e) -> Printf.sprintf "submit pg%d%s" p (if e then " mtr_end" else "")
+    | Ack (p, s, b) -> Printf.sprintf "ack pg%d %s -%d" p (Member_id.to_string (m s)) b
+  in
+  let transition =
+    Quorum_set.all
+      [ Quorum_set.k_of 4 six; Quorum_set.k_of 4 (List.init 5 m @ [ m 6 ]) ]
+  in
+  QCheck.Test.make ~name:"consistency points match a naive set-based tracker"
+    ~count:300
+    QCheck.(
+      make
+        ~print:(fun ops -> String.concat "; " (List.map print ops))
+        Gen.(list_size (int_range 1 120) op_gen))
+    (fun ops ->
+      let c = fresh_consistency 2 in
+      let got = ref [] and want = ref [] in
+      C.on_record_durable c (fun p l ->
+          got := Printf.sprintf "durable pg%d %d" (Storage.Pg_id.to_int p) (Lsn.to_int l) :: !got);
+      C.on_vcl_advance c (fun l -> got := Printf.sprintf "vcl %d" (Lsn.to_int l) :: !got);
+      C.on_vdl_advance c (fun l -> got := Printf.sprintf "vdl %d" (Lsn.to_int l) :: !got);
+      let groups =
+        Array.init 2 (fun _ ->
+            { q = Quorum_set.k_of 4 six; acked = Hashtbl.create 8; pending = []; point = 0 })
+      in
+      let volume = Queue.create () in
+      let vcl = ref 0 and vdl = ref 0 and last = ref 0 in
+      let rec advance_point p g =
+        match g.pending with
+        | l :: rest ->
+          let covering =
+            Hashtbl.fold
+              (fun seg scl acc -> if scl >= l then Member_id.Set.add (m seg) acc else acc)
+              g.acked Member_id.Set.empty
+          in
+          if naive_satisfied g.q covering then begin
+            g.pending <- rest;
+            g.point <- l;
+            want := Printf.sprintf "durable pg%d %d" p l :: !want;
+            advance_point p g
+          end
+        | [] -> ()
+      in
+      let advance_vcl () =
+        let new_vcl = ref !vcl and new_vdl = ref !vdl in
+        while
+          (not (Queue.is_empty volume))
+          &&
+          let l, p, _ = Queue.peek volume in
+          l <= groups.(p).point
+        do
+          let l, _, mtr_end = Queue.pop volume in
+          new_vcl := l;
+          if mtr_end then new_vdl := l
+        done;
+        if !new_vcl > !vcl then begin
+          vcl := !new_vcl;
+          want := Printf.sprintf "vcl %d" !vcl :: !want
+        end;
+        if !new_vdl > !vdl then begin
+          vdl := !new_vdl;
+          want := Printf.sprintf "vdl %d" !vdl :: !want
+        end
+      in
+      let half = List.length ops / 2 in
+      List.iteri
+        (fun i op ->
+          if i = half then begin
+            C.set_write_quorum c (pg 0) transition;
+            groups.(0).q <- transition
+          end;
+          (match op with
+          | Submit (p, mtr_end) ->
+            incr last;
+            C.note_submitted c ~pg:(pg p) ~lsn:(lsn !last) ~mtr_end;
+            groups.(p).pending <- groups.(p).pending @ [ !last ];
+            Queue.push (!last, p, mtr_end) volume
+          | Ack (p, seg, back) ->
+            let scl = max 0 (!last - back) in
+            C.note_ack c ~pg:(pg p) ~seg:(m seg) ~scl:(lsn scl);
+            let g = groups.(p) in
+            let prev = Option.value ~default:0 (Hashtbl.find_opt g.acked seg) in
+            if scl > prev then begin
+              Hashtbl.replace g.acked seg scl;
+              let before = g.point in
+              advance_point p g;
+              if g.point > before then advance_vcl ()
+            end);
+          let same =
+            !got = !want
+            && Lsn.to_int (C.pgcl c (pg 0)) = groups.(0).point
+            && Lsn.to_int (C.pgcl c (pg 1)) = groups.(1).point
+            && Lsn.to_int (C.vcl c) = !vcl
+            && Lsn.to_int (C.vdl c) = !vdl
+          in
+          if not same then
+            QCheck.Test.fail_reportf
+              "after %s: tracker pgcl %d/%d vcl %d vdl %d, naive %d/%d vcl %d vdl %d;\n\
+               tracker calls [%s]\nnaive calls   [%s]"
+              (print op)
+              (Lsn.to_int (C.pgcl c (pg 0))) (Lsn.to_int (C.pgcl c (pg 1)))
+              (Lsn.to_int (C.vcl c)) (Lsn.to_int (C.vdl c))
+              groups.(0).point groups.(1).point !vcl !vdl
+              (String.concat ", " (List.rev !got))
+              (String.concat ", " (List.rev !want)))
+        ops;
+      true)
 
 (* Property: VCL equals the reference computation (largest prefix of the
    global submission order where each record's group reaches quorum). *)
@@ -457,6 +603,93 @@ let prop_cache_lru_matches_model =
         ops;
       true)
 
+(* A bulk load at one VDL: every block is dirty, so each apply over
+   capacity is blocked, while reads relink blocks inside the dirty prefix
+   (the block an eviction walk resumes from among them).  Then VDL jumps
+   to [cut] and a second load runs: victims and counts must match the same
+   min-last_used model as above. *)
+let prop_cache_all_dirty_bulk_load =
+  QCheck.Test.make ~name:"all-dirty bulk load vs min-last_used model" ~count:300
+    QCheck.(
+      make
+        ~print:(fun (cap, ops, cut) ->
+          Printf.sprintf "capacity %d, cut %d: %s" cap cut
+            (String.concat "; "
+               (List.map
+                  (fun (read, b) ->
+                    Printf.sprintf "%s b%d" (if read then "read" else "apply") b)
+                  ops)))
+        Gen.(
+          triple (int_range 1 4)
+            (list_size (int_range 1 60) (pair bool (int_range 0 15)))
+            (int_range 0 70)))
+    (fun (capacity, ops, cut) ->
+      let cache = Buffer_cache.create ~capacity in
+      let model : (int, int * int) Hashtbl.t = Hashtbl.create 16 in
+      let clock = ref 0 and next = ref 0 in
+      let evictions = ref 0 and blocked = ref 0 in
+      let evict vdl =
+        let rec go () =
+          if Hashtbl.length model > capacity then
+            let victim =
+              Hashtbl.fold
+                (fun b (l, used) acc ->
+                  if l > vdl then acc
+                  else
+                    match acc with
+                    | Some (_, best) when best <= used -> acc
+                    | _ -> Some (b, used))
+                model None
+            in
+            match victim with
+            | Some (b, _) ->
+              Hashtbl.remove model b;
+              incr evictions;
+              go ()
+            | None -> incr blocked
+        in
+        go ()
+      in
+      let check what =
+        for b = 0 to 15 do
+          if Buffer_cache.contains cache (Block_id.of_int b) <> Hashtbl.mem model b
+          then QCheck.Test.fail_reportf "b%d membership differs after %s" b what
+        done;
+        let st = Buffer_cache.stats cache in
+        if st.evictions <> !evictions || st.eviction_blocked <> !blocked then
+          QCheck.Test.fail_reportf
+            "after %s: evictions %d/%d blocked %d/%d (cache/model)" what
+            st.evictions !evictions st.eviction_blocked !blocked
+      in
+      let load vdl =
+        List.iter
+          (fun (read, b) ->
+            incr clock;
+            if read then begin
+              ignore (Buffer_cache.read cache (Block_id.of_int b) ~key:"k"
+                : Buffer_cache.lookup);
+              match Hashtbl.find_opt model b with
+              | Some (l, _) -> Hashtbl.replace model b (l, !clock)
+              | None -> ()
+            end
+            else begin
+              incr next;
+              Buffer_cache.apply cache (put_record ~l:!next ~block:b "k" "v")
+                ~vdl:(lsn vdl);
+              Hashtbl.replace model b (!next, !clock);
+              evict vdl
+            end;
+            check (Printf.sprintf "%s b%d @vdl %d" (if read then "read" else "apply") b vdl))
+          ops
+      in
+      load 0;
+      let vdl = min cut !next in
+      Buffer_cache.evict_pressure cache ~vdl:(lsn vdl);
+      evict vdl;
+      check (Printf.sprintf "evict_pressure @vdl %d" vdl);
+      load vdl;
+      true)
+
 let test_cache_all_dirty_blocked () =
   let cache = Buffer_cache.create ~capacity:1 in
   Buffer_cache.apply cache (put_record ~l:1 ~block:0 "a" "1") ~vdl:Lsn.none;
@@ -591,6 +824,7 @@ let () =
           Alcotest.test_case "composite write quorum" `Quick
             test_consistency_quorum_set_write;
           qc prop_consistency_reference;
+          qc prop_consistency_matches_naive_tracker;
         ] );
       ( "boxcar",
         [
@@ -616,6 +850,7 @@ let () =
           Alcotest.test_case "all dirty: eviction blocked" `Quick
             test_cache_all_dirty_blocked;
           qc prop_cache_lru_matches_model;
+          qc prop_cache_all_dirty_bulk_load;
         ] );
       ("commit_queue", [ Alcotest.test_case "scn gating" `Quick test_commit_queue ]);
       ( "recovery",

@@ -247,12 +247,20 @@ let test_mtr_atomicity_at_vdl () =
           let block = Database.block_of_key db key in
           let g = Aurora_core.Volume.pg_of_block (Database.volume db) block in
           let candidates =
-            Aurora_core.Consistency.segments_at_or_above (Database.consistency db)
-              ~pg:g.Aurora_core.Volume.id
-              ~lsn:
-                (Lsn.min anchor
-                   (Aurora_core.Consistency.pgcl (Database.consistency db)
-                      g.Aurora_core.Volume.id))
+            let consistency = Database.consistency db
+            and pg = g.Aurora_core.Volume.id in
+            let needed =
+              Lsn.min anchor (Aurora_core.Consistency.pgcl consistency pg)
+            in
+            List.fold_left
+              (fun acc (seg, _) ->
+                let scl =
+                  Aurora_core.Consistency.segment_scl consistency ~pg ~seg
+                in
+                if (not (Lsn.is_none scl)) && Lsn.(scl >= needed) then
+                  Member_id.Set.add seg acc
+                else acc)
+              Member_id.Set.empty (Aurora_core.Volume.roster g)
           in
           (* Read the materialized image directly off a covering segment. *)
           Member_id.Set.fold

@@ -137,6 +137,122 @@ let prop_overlap_brute_force =
         in
         Quorum_set.overlaps ~read ~write = brute)
 
+(* ---- The mask evaluator against a set-based oracle ---- *)
+
+(* The set-based evaluator the library had before it compiled formulas to
+   member-index masks; kept here as the oracle. *)
+let rec oracle t responsive =
+  match t with
+  | Quorum_set.Atom { threshold; members } ->
+    Member_id.Set.cardinal (Member_id.Set.inter members responsive) >= threshold
+  | Quorum_set.All ts -> List.for_all (fun t -> oracle t responsive) ts
+  | Quorum_set.Any ts -> List.exists (fun t -> oracle t responsive) ts
+
+let subset_of_bits pool bits =
+  Member_id.set_of_list (List.filteri (fun i _ -> bits land (1 lsl i) <> 0) pool)
+
+(* Random nested All / Any / k-of formulas over a pool of up to 12
+   members.  Atoms may be empty, k may be 0, and operand lists may be
+   empty, so trivially true and unsatisfiable formulas both occur. *)
+let formula_over pool =
+  let open QCheck.Gen in
+  let n = List.length pool in
+  let atom =
+    let* bits = int_range 0 ((1 lsl n) - 1) in
+    let ms = Member_id.Set.elements (subset_of_bits pool bits) in
+    let* k = int_range 0 (List.length ms) in
+    return (Quorum_set.k_of k ms)
+  in
+  let rec node depth =
+    if depth = 0 then atom
+    else
+      frequency
+        [
+          (3, atom);
+          (1, map Quorum_set.all (list_size (int_range 0 3) (node (depth - 1))));
+          (1, map Quorum_set.any (list_size (int_range 0 3) (node (depth - 1))));
+        ]
+  in
+  node 3
+
+let pool_gen max = QCheck.Gen.map (fun n -> List.init n m) (QCheck.Gen.int_range 1 max)
+let show_formula = Format.asprintf "%a" Quorum_set.pp
+
+let prop_mask_eval_matches_oracle =
+  (* Ids 12 and 13 are never in a pool: responsive non-members, and extra
+     members of an explicit index. *)
+  let extras = [ m 12; m 13 ] in
+  let gen =
+    QCheck.Gen.(
+      let* pool = pool_gen 12 in
+      let* t = formula_over pool in
+      let* bits = int_range 0 ((1 lsl 14) - 1) in
+      let* order = shuffle_l (pool @ extras) in
+      return (t, subset_of_bits (List.init 14 m) bits, order))
+  in
+  QCheck.Test.make ~name:"mask evaluator agrees with a set-based oracle"
+    ~count:500
+    (QCheck.make
+       ~print:(fun (t, responsive, _) ->
+         Format.asprintf "%s on %a" (show_formula t) Member_id.pp_set responsive)
+       gen)
+    (fun (t, responsive, order) ->
+      let want = oracle t responsive in
+      let c = Quorum_set.compile t in
+      (* Any index order, with extra members, gives the same verdict. *)
+      let c' = Quorum_set.compile ~index:(Array.of_list order) t in
+      Quorum_set.satisfied t responsive = want
+      && Quorum_set.satisfied_mask c (Quorum_set.mask_of_set c responsive) = want
+      && Quorum_set.satisfied_mask c' (Quorum_set.mask_of_set c' responsive) = want)
+
+(* Brute force over every subset of the pool, as member sets. *)
+let all_subsets pool =
+  List.init (1 lsl List.length pool) (subset_of_bits pool)
+
+let prop_properties_match_brute_force =
+  let gen =
+    QCheck.Gen.(
+      let* pool = pool_gen 10 in
+      pair (formula_over pool) (formula_over pool) >|= fun (r, w) -> (pool, r, w))
+  in
+  QCheck.Test.make
+    ~name:"overlaps, self_overlapping, min_cardinality vs brute force"
+    ~count:150
+    (QCheck.make
+       ~print:(fun (_, r, w) ->
+         Printf.sprintf "read %s; write %s" (show_formula r) (show_formula w))
+       gen)
+    (fun (pool, read, write) ->
+      let subsets = all_subsets pool in
+      let within t s = Member_id.Set.inter s (Quorum_set.members t) in
+      let universe = Member_id.set_of_list pool in
+      let disjoint_pair a b =
+        List.exists
+          (fun s -> oracle a s && oracle b (Member_id.Set.diff universe s))
+          subsets
+      in
+      let min_card t =
+        List.fold_left
+          (fun best s ->
+            (* Count only the formula's own members, as the library does. *)
+            let s = within t s in
+            if oracle t s then min best (Member_id.Set.cardinal s) else best)
+          max_int subsets
+      in
+      let check name got want =
+        if got <> want then
+          QCheck.Test.fail_reportf "%s: library %b, brute force %b" name got want
+      in
+      check "overlaps" (Quorum_set.overlaps ~read ~write)
+        (not (disjoint_pair read write));
+      check "self_overlapping" (Quorum_set.self_overlapping write)
+        (not (disjoint_pair write write));
+      let got = Quorum_set.min_cardinality write and want = min_card write in
+      if got <> want then
+        QCheck.Test.fail_reportf "min_cardinality: library %d, brute force %d" got
+          want;
+      true)
+
 (* ---- Epochs ---- *)
 
 let test_epochs () =
@@ -342,6 +458,8 @@ let () =
           Alcotest.test_case "tiered rule safe" `Quick test_tiered_rule_safe;
           Alcotest.test_case "transition rule safe" `Quick test_transition_rule_safe;
           qc prop_overlap_brute_force;
+          qc prop_mask_eval_matches_oracle;
+          qc prop_properties_match_brute_force;
         ] );
       ("epoch", [ Alcotest.test_case "staleness" `Quick test_epochs ]);
       ( "membership",

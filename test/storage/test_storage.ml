@@ -291,13 +291,46 @@ let prop_block_store_matches_model =
             model;
           List.iter (fun (k, vs) -> Hashtbl.replace model (b, k) vs) image
       in
+      let rec descending = function
+        | (a : B.version) :: (b :: _ as rest) ->
+          Lsn.(a.lsn > b.lsn) && descending rest
+        | [ _ ] | [] -> true
+      in
+      (* The image a block read returned before [block_as_of]: the full
+         snapshot, each chain filtered. *)
+      let filtered_image b ~as_of =
+        List.filter_map
+          (fun (key, versions) ->
+            match
+              List.filter (fun (v : B.version) -> Lsn.(v.lsn <= as_of)) versions
+            with
+            | [] -> None
+            | vs -> Some (key, vs))
+          (B.block_snapshot s (blk b))
+      in
       List.iter
         (fun op ->
           step op;
           for b = 0 to 3 do
             if B.checksum s (blk b) <> reference_checksum s (blk b) then
               QCheck.Test.fail_reportf "block %d: stored checksum is stale after %s"
-                b (print_store_op op)
+                b (print_store_op op);
+            List.iter
+              (fun (k, vs) ->
+                if not (descending vs) then
+                  QCheck.Test.fail_reportf
+                    "block %d key %s: chain not LSN-descending after %s" b k
+                    (print_store_op op))
+              (B.block_snapshot s (blk b));
+            for as_of = 0 to !next + 1 do
+              if
+                B.block_as_of s (blk b) ~as_of:(lsn as_of)
+                <> filtered_image b ~as_of:(lsn as_of)
+              then
+                QCheck.Test.fail_reportf
+                  "block %d: image as of %d differs from the filtered one after %s"
+                  b as_of (print_store_op op)
+            done
           done;
           let total = ref 0 and bytes = ref 0 in
           Hashtbl.iter

@@ -193,6 +193,95 @@ let prop_annul_then_scl_valid =
       ignore (Hot_log.annul_range log ~above:(lsn cut) ~upto:(lsn (n + 100)) : int);
       Lsn.to_int (Hot_log.scl log) = cut)
 
+(* [drop_below] pops an LSN-ordered heap with lazy deletion; this checks
+   it against the fold over every stored record it replaced.  Inserts come
+   out of order, duplicated, and into annulled ranges, with annuls and GC
+   drops interleaved. *)
+type gc_op = Ins of int | Annul of int * int | Drop of int
+
+let prop_drop_below_matches_fold =
+  let op_gen =
+    QCheck.Gen.(
+      frequency
+        [
+          (6, map (fun l -> Ins l) (int_range 1 40));
+          (1, map2 (fun a w -> Annul (a, a + w)) (int_range 0 40) (int_range 0 6));
+          (2, map (fun u -> Drop u) (int_range 0 45));
+        ])
+  in
+  let print = function
+    | Ins l -> Printf.sprintf "ins %d" l
+    | Annul (a, u) -> Printf.sprintf "annul (%d,%d]" a u
+    | Drop u -> Printf.sprintf "drop<=%d" u
+  in
+  QCheck.Test.make ~name:"drop_below matches a fold over stored records"
+    ~count:300
+    QCheck.(
+      make
+        ~print:(fun ops -> String.concat "; " (List.map print ops))
+        Gen.(list_size (int_range 1 80) op_gen))
+    (fun ops ->
+      let log = Hot_log.create () in
+      (* Reference: the stored records, the annulled ranges, the floor. *)
+      let stored : (int, int) Hashtbl.t = Hashtbl.create 16 in
+      let cuts = ref [] and floor = ref 0 in
+      let record l =
+        (* Gapped prev links ([l - 2]) leave some records pending. *)
+        Log_record.make ~lsn:(lsn l) ~prev_volume:(lsn (l - 1))
+          ~prev_segment:(lsn (max 0 (l - 1 - (l mod 2))))
+          ~prev_block:Lsn.none ~block:(Block_id.of_int (l mod 3))
+          ~txn:(Txn_id.of_int 1) ~mtr_id:l ~mtr_end:true
+          ~op:(Log_record.Put { key = "k"; value = String.make (l mod 5) 'v' })
+      in
+      List.iter
+        (fun op ->
+          (match op with
+          | Ins l ->
+            let r = record l in
+            let expect =
+              if Hashtbl.mem stored l then Hot_log.Duplicate
+              else if List.exists (fun (a, u) -> l > a && l <= u) !cuts then
+                Hot_log.Annulled
+              else Hot_log.Accepted
+            in
+            if Hot_log.insert log r <> expect then
+              QCheck.Test.fail_reportf "insert %d: unexpected result" l;
+            if expect = Hot_log.Accepted then
+              Hashtbl.replace stored l r.Log_record.size_bytes
+          | Annul (a, u) ->
+            cuts := (a, u) :: !cuts;
+            ignore (Hot_log.annul_range log ~above:(lsn a) ~upto:(lsn u) : int);
+            Hashtbl.filter_map_inplace
+              (fun l b -> if l > a && l <= u then None else Some b)
+              stored
+          | Drop u ->
+            let doomed =
+              Hashtbl.fold (fun l _ acc -> if l <= u then l :: acc else acc) stored []
+            in
+            List.iter
+              (fun l ->
+                Hashtbl.remove stored l;
+                floor := max !floor l)
+              doomed;
+            let got = Hot_log.drop_below log ~upto:(lsn u) in
+            if got <> List.length doomed then
+              QCheck.Test.fail_reportf "drop<=%d: dropped %d, fold %d" u got
+                (List.length doomed));
+          let bytes = Hashtbl.fold (fun _ b acc -> acc + b) stored 0 in
+          if
+            Hot_log.record_count log <> Hashtbl.length stored
+            || Hot_log.bytes_stored log <> bytes
+            || Lsn.to_int (Hot_log.dropped_upto log) <> !floor
+          then
+            QCheck.Test.fail_reportf
+              "after %s: records %d/%d bytes %d/%d floor %d/%d (log/fold)"
+              (print op) (Hot_log.record_count log) (Hashtbl.length stored)
+              (Hot_log.bytes_stored log) bytes
+              (Lsn.to_int (Hot_log.dropped_upto log))
+              !floor)
+        ops;
+      true)
+
 (* ---- Log_chain validators ---- *)
 
 let test_chain_validators () =
@@ -276,6 +365,7 @@ let () =
           Alcotest.test_case "anchored" `Quick test_hot_log_anchored;
           qc prop_scl_order_independent;
           qc prop_annul_then_scl_valid;
+          qc prop_drop_below_matches_fold;
         ] );
       ( "chains",
         [
